@@ -1,20 +1,25 @@
 """Index-build orchestrator — Ray-Data-native lifecycle (SURVEY.md §3.4).
 
+    read_parquet(source).limit(2000)
+      → map_batches(tokenize + per-term df) → take_all   # hot-term probe
     read_parquet(source)
-      → map_batches(docstats_batch, pyarrow)          # docstore + sha256 invariant
-      → write_parquet(docstore/)
-    read_parquet(source)
-      → map_batches(ExplodePostings, pyarrow)         # ONE tokenize pass
-      → groupby("part").map_groups(SegmentWriter)     # the one wide shuffle
+      → map_batches(PackRuns, pyarrow)     # ONE read, ONE tokenize:
+                                           #   ExplodePostings + docstats_batch,
+                                           #   packed per (batch, partition)
+      → groupby("part").map_groups(WriteRuns)   # the ONE shuffle:
+                                           #   SegmentWriter | DocstoreWriter
       → (tiny manifest-row dataset) → manifest.json
 
-Replaces the reference's single-process in-heap build
+Segments (term-hash partitions), lengths and docstore (doc_id-range
+partitions) share one partition-id space, so a single shuffle routes all
+three. Replaces the reference's single-process in-heap build
 (/root/reference/search_engine/indexer/indexer.py:109-167). Never calls
 ray.init/shutdown — the caller owns the session (driver contract).
 
 Resume: partitions listed done in manifest.json (with their files present)
-are filtered out *before* the shuffle, so a restarted build re-tokenizes
-(cheap, streaming) but re-shuffles and re-writes only missing partitions.
+are dropped in the map *before* the shuffle, so a restarted build re-reads
+the source but re-shuffles and re-writes only missing partitions; when only
+docstore partitions are missing it does not tokenize.
 """
 
 from __future__ import annotations
@@ -24,20 +29,13 @@ from typing import Any
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
 from searchengine_ray.codec import CODEC_VERSION
 from searchengine_ray.config import IndexConfig
 from searchengine_ray.functions.arrow_tokenize import tokenize_column
-from searchengine_ray.stages.docstats import docstats_batch
-from searchengine_ray.stages.postings import (
-    DocstoreWriter,
-    ExplodePostings,
-    SegmentWriter,
-    docstore_part_ids,
-)
+from searchengine_ray.stages.postings import PackRuns, WriteRuns
 from searchengine_ray.state.manifest import (
     TOKENIZER_VERSION,
     done_parts,
@@ -152,48 +150,12 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
     skip = set(done)
     if only_parts is not None:
         skip |= (set(range(total_parts)) | docstore_ids) - set(only_parts)
-    docstore_skip = skip & docstore_ids
-
-    docstore_thread = None
-    docstore_err: list[BaseException] = []
-    docstore_rows: list = []
-    if not docstore_done:
-        # independent pass over the source — run it CONCURRENTLY with the
-        # postings shuffle (two Ray Data jobs share the cluster; the
-        # streaming executors interleave), hiding its wall time entirely.
-        # Output is doc_id-RANGE partitioned with the same atomic-write +
-        # manifest-lineage contract as segments, so a crashed docstore pass
-        # resumes per-partition (deterministic file names — a rerun
-        # overwrites, never duplicates).
-        def _add_dpart(batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            return batch.append_column(
-                "dpart", pa.array(docstore_part_ids(ids, cfg)))
-
-        def _docstore_job():
-            try:
-                dds = (source.map_batches(docstats_batch,
-                                          batch_format="pyarrow")
-                       .map_batches(_add_dpart, batch_format="pyarrow"))
-                if docstore_skip:
-                    skip_arr = pa.array(sorted(docstore_skip),
-                                        type=pa.int32())
-                    dds = dds.map_batches(
-                        lambda t: t.filter(pc.invert(
-                            pc.is_in(t["dpart"], value_set=skip_arr))),
-                        batch_format="pyarrow")
-                writer = DocstoreWriter(index_dir)
-                docstore_rows.extend(
-                    dds.groupby("dpart")
-                       .map_groups(lambda g: writer(g),
-                                   batch_format="pyarrow")
-                       .take_all())
-            except BaseException as e:  # re-raised on join
-                docstore_err.append(e)
-
-        import threading
-        docstore_thread = threading.Thread(target=_docstore_job, daemon=True)
-        docstore_thread.start()
+    if docstore_done:
+        skip |= docstore_ids
+    if prior and prior.get("complete") and only_parts is None:
+        # every segment and length partition is checkpointed — only the
+        # docstore needs rebuilding, so the map does not tokenize
+        skip |= set(range(total_parts))
 
     if hot_terms_override is not None:
         hot_terms = {t: int(n) for t, n in hot_terms_override.items()}
@@ -204,36 +166,21 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
     else:
         hot_terms = {}
 
-    if prior and prior.get("complete") and only_parts is None:
-        # all partitions already checkpointed — only the docstore needed
-        # rebuilding (thread above); skip the shuffle entirely
-        manifest_rows: list = []
-    else:
-        exploded = source.map_batches(
-            ExplodePostings(cfg, hot_terms), batch_format="pyarrow")
-        if skip:
-            skip_arr = pa.array(sorted(skip), type=pa.int32())
-            exploded = exploded.map_batches(
-                lambda t: t.filter(
-                    pc.invert(pc.is_in(t["part"], value_set=skip_arr))),
-                batch_format="pyarrow")
-        writer = SegmentWriter(index_dir, cfg)
-
-        def write_partition(group):
-            return writer(group)
-
+    manifest_rows: list = []
+    if not (set(range(total_parts)) | docstore_ids) <= skip:
+        # deterministic file names + atomic writes: a crashed run's rerun
+        # overwrites a partition, never duplicates it
+        writer = WriteRuns(index_dir, cfg)
         manifest_rows = (
-            exploded.groupby("part")
-            .map_groups(write_partition, batch_format="pyarrow")
+            source.map_batches(PackRuns(cfg, hot_terms, skip),
+                               batch_format="pyarrow")
+            .groupby("part")
+            .map_groups(lambda g: writer(g), batch_format="pyarrow")
             .take_all()
         )
-    if docstore_thread is not None:
-        docstore_thread.join()
-        if docstore_err:
-            raise docstore_err[0]
 
     partitions = dict(prior.get("partitions", {})) if prior else {}
-    for row in list(manifest_rows) + docstore_rows:
+    for row in manifest_rows:
         partitions[str(int(row["part"]))] = {
             "kind": row["kind"], "path": row["path"], "rows": int(row["rows"]),
             "terms": int(row["terms"]), "bytes": int(row["bytes"]),

@@ -256,11 +256,15 @@ class SearchApp:
             snip = html.escape(str(r.get("content_snippet", "")))
             score = r.get("score", 0.0)
             # html.escape does not neutralize javascript:/data: schemes —
-            # only emit an anchor for http(s)/scheme-relative URLs, else
-            # render the title as plain text (round-4 advice). Docstore
-            # URLs here are repo-path keys (no scheme), which also render
-            # unlinked — matching their non-navigable meaning.
-            scheme_ok = raw_url.startswith(("http://", "https://", "/"))
+            # only emit an anchor for http(s) URLs and rooted local paths
+            # ("/x"), else render the title as plain text (round-4 advice).
+            # "//host/x" is protocol-relative, not rooted: it leaves the
+            # site, as does "/\\host/x", which browsers read the same way.
+            # Docstore URLs here are repo-path keys (no scheme), which also
+            # render unlinked — matching their non-navigable meaning.
+            scheme_ok = (raw_url.startswith(("http://", "https://"))
+                         or (raw_url[:1] == "/"
+                             and raw_url[1:2] not in ("/", "\\")))
             head = (f"<h3><a href='{url}'>{title}</a></h3>" if scheme_ok
                     else f"<h3>{title}</h3>")
             parts.append(

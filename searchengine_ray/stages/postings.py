@@ -5,15 +5,23 @@ Replaces the reference's single-heap inverted-index accumulation
 §2.6 A1) with:
 
   explode (stateless map_batches, Arrow):  source rows →
-      (part:int32, term:string, doc_id:uint64, wtf:float64) posting rows
+      (part:int32, term:string, doc_id:uint64, wtf:float32) posting rows
       PLUS one doc-length row per doc (term=None, wtf=doc_len) routed to
       length partitions — doc_len computed locally per batch (a doc never
       spans batches), so no extra tokenize pass and no extra shuffle.
-  groupby("part").map_groups(segment writer):  per partition, sort
-      (term, doc_id), varbyte-delta encode each term's postings with
-      block-max metadata, write ``part-NNNNN.parquet`` atomically
-      (tmp → rename), return ONE manifest row. The returned dataset is tiny;
-      the driver folds it into manifest.json (checkpoint/resume lineage).
+  segment writer (map_groups):  per partition, sort (term, doc_id),
+      varbyte-delta encode each term's postings with block-max metadata,
+      write ``part-NNNNN.parquet`` atomically (tmp → rename), return ONE
+      manifest row. The returned dataset is tiny; the driver folds it into
+      manifest.json (checkpoint/resume lineage).
+
+``PackRuns`` and ``WriteRuns`` fuse these stages with the docstore stage
+(``docstats_batch`` → ``DocstoreWriter``) into one pass and one shuffle:
+each source batch is read and tokenized once, and every (batch, partition)
+slice of posting, length and docstore rows travels as ONE packed row
+(part, Arrow IPC payload). The shuffle then moves ~batches×partitions rows
+instead of one row per posting — its cost scales with the number of rows
+moved, not with bytes.
 
 Skew: hot terms (df above cfg.hot_term_df_ratio, estimated by a sampling
 pre-pass) are salted across ``n_salts`` sub-partitions keyed by doc_id hash;
@@ -33,7 +41,8 @@ from searchengine_ray.codec import block_max_tf_batch, encode_postings_batch
 from searchengine_ray.config import IndexConfig
 from searchengine_ray.functions.arrow_tokenize import weighted_term_counts
 from searchengine_ray.functions.hashing import hash64, hash64_array
-from searchengine_ray.stages.docstats import doc_keys, str_col
+from searchengine_ray.stages.docstats import (doc_keys, docstats_batch,
+                                              str_col)
 
 # Shuffle row: part + term string + doc_id + wtf float32 — wtf values are
 # integral sums of the boost constants bounded far below 2^24, so f32 is
@@ -69,6 +78,13 @@ MANIFEST_ROW_SCHEMA = pa.schema([
     ("bytes", pa.int64()),
     ("sum_doc_len", pa.float64()),
     ("status", pa.string()),
+])
+
+# Shuffle row of the fused build: one (source batch, partition) slice of
+# posting, length or docstore rows as an Arrow IPC stream.
+PACKED_SCHEMA = pa.schema([
+    ("part", pa.int32()),
+    ("payload", pa.large_binary()),
 ])
 
 
@@ -184,7 +200,7 @@ def docstore_part_ids(doc_ids: np.ndarray, cfg: IndexConfig) -> np.ndarray:
 
 
 class DocstoreWriter:
-    """map_groups callable for the docstore pass: one group = one doc_id
+    """map_groups callable for docstore rows: one group = one doc_id
     range partition. Sorts by doc_id, writes ``docstore/part-NNNNN.parquet``
     atomically (tmp → rename, deterministic name — a crashed run's rerun
     overwrites rather than duplicating), returns a manifest lineage row —
@@ -239,30 +255,25 @@ class SegmentWriter:
 
     def _build_segment(self, group: pa.Table, part: int) -> pa.Table:
         cfg = self.cfg
-        term_col = group["term"].combine_chunks() if isinstance(
-            group["term"], pa.ChunkedArray) else group["term"]
+        term_col = group["term"].combine_chunks()
         if pa.types.is_dictionary(term_col.type):
             term_col = term_col.cast(pa.string())
-        flat = pa.table({
-            "term": term_col,
-            "doc_id": group["doc_id"].combine_chunks() if isinstance(
-                group["doc_id"], pa.ChunkedArray) else group["doc_id"],
-            "wtf": pc.cast(group["wtf"], pa.float64()),
-        })
-        order = pc.sort_indices(flat, sort_keys=[("term", "ascending"),
-                                                 ("doc_id", "ascending")])
-        g = flat.take(order)
-        terms = g["term"].combine_chunks() if isinstance(g["term"], pa.ChunkedArray) else g["term"]
-        doc_ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        wtf = g["wtf"].to_numpy(zero_copy_only=False)
-        # term run boundaries via dictionary codes
-        dic = terms.dictionary_encode()
+        # (term, doc_id) order without per-row string comparisons: rank the
+        # DISTINCT terms once, then lexsort integer keys. The sorted codes
+        # also give the term-run boundaries.
+        dic = term_col.dictionary_encode()
+        rank = pc.rank(dic.dictionary, sort_keys="ascending").to_numpy()
         codes = dic.indices.to_numpy(zero_copy_only=False)
+        doc_ids = group["doc_id"].to_numpy()
+        order = np.lexsort((doc_ids, rank[codes]))
+        codes = codes[order]
+        doc_ids = doc_ids[order]
+        wtf = group["wtf"].to_numpy().astype(np.float64)[order]
         boundaries = np.nonzero(np.diff(codes))[0] + 1
         starts = np.concatenate([[0], boundaries])
         ends = np.concatenate([boundaries, [len(codes)]])
-        uniq_terms = [dic.dictionary[int(codes[s])].as_py() for s in starts]
-        rows_term = uniq_terms
+        uniq_terms = dic.dictionary.take(
+            pa.array(codes[starts], type=dic.indices.type)).to_pylist()
         rows_hash = [hash64(t) for t in uniq_terms]
         rows_df = (ends - starts).tolist()
         rows_post = encode_postings_batch(doc_ids, wtf, starts, ends,
@@ -270,7 +281,7 @@ class SegmentWriter:
         rows_bm = block_max_tf_batch(wtf, starts, ends, cfg.block_size)
         seg = pa.Table.from_arrays(
             [
-                pa.array(rows_term, type=pa.string()),
+                pa.array(uniq_terms, type=pa.string()),
                 pa.array(np.array(rows_hash, dtype=np.uint64)),
                 pa.array(np.array(rows_df, dtype=np.uint32)),
                 pa.array(rows_post, type=pa.large_binary()),
@@ -280,8 +291,8 @@ class SegmentWriter:
         )
         rel, size = self._write(seg, f"segments/part-{part:05d}.parquet")
         return pa.Table.from_pylist(
-            [{"part": part, "kind": "segment", "path": rel, "rows": len(g),
-              "terms": len(rows_term), "bytes": size, "sum_doc_len": 0.0,
+            [{"part": part, "kind": "segment", "path": rel, "rows": len(group),
+              "terms": len(uniq_terms), "bytes": size, "sum_doc_len": 0.0,
               "status": "done"}],
             schema=MANIFEST_ROW_SCHEMA,
         )
@@ -309,3 +320,86 @@ class SegmentWriter:
               "status": "done"}],
             schema=MANIFEST_ROW_SCHEMA,
         )
+
+
+def pack_by_part(table: pa.Table, parts: np.ndarray,
+                 skip: np.ndarray) -> tuple[np.ndarray, pa.Array]:
+    """One packed row per distinct partition id of ``table``'s rows (ids in
+    ``skip`` dropped): the partition id and the Arrow IPC stream of its
+    slice. All streams go to one buffer, so the payload column is built
+    without copying them."""
+    keep = np.nonzero(~np.isin(parts, skip))[0]
+    order = keep[np.argsort(parts[keep], kind="stable")]
+    ids, starts = np.unique(parts[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    rows = table.take(pa.array(order))
+    sink = pa.BufferOutputStream()
+    offsets = [0]
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        with pa.ipc.new_stream(sink, rows.schema) as w:
+            w.write_table(rows.slice(s, e - s))
+        offsets.append(sink.tell())
+    payload = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(ids),
+        [None, pa.py_buffer(np.array(offsets, dtype=np.int64)),
+         sink.getvalue()])
+    return ids.astype(np.int32), payload
+
+
+class PackRuns:
+    """map_batches callable of the fused build: reads each source batch
+    once and returns its ``PACKED_SCHEMA`` rows — the ``ExplodePostings``
+    posting and length rows and the ``docstats_batch`` docstore rows
+    (tagged ``dpart`` = ``docstore_part_ids``), packed per partition.
+
+    Partitions in ``skip`` (checkpointed, or left out of this run) are
+    dropped before packing. A stage whose partitions are all skipped does
+    not run, so a docstore-only resume does not tokenize."""
+
+    def __init__(self, cfg: IndexConfig, hot_terms: dict[str, int] | None,
+                 skip: set[int] = frozenset()):
+        self.cfg = cfg
+        total = cfg.num_partitions + cfg.num_length_partitions
+        self.skip = np.array(sorted(skip), dtype=np.int32)
+        self.explode = (None if set(range(total)) <= set(skip)
+                        else ExplodePostings(cfg, hot_terms))
+        self.docstore = not set(range(
+            total, total + cfg.num_docstore_partitions)) <= set(skip)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        ids, payloads = [], []
+        if self.explode is not None:
+            posts = self.explode(batch)
+            i, p = pack_by_part(posts, posts["part"].to_numpy(), self.skip)
+            ids.append(i)
+            payloads.append(p)
+        if self.docstore:
+            docs = docstats_batch(batch)
+            dpart = docstore_part_ids(docs["doc_id"].to_numpy(), self.cfg)
+            i, p = pack_by_part(docs.append_column("dpart", pa.array(dpart)),
+                                dpart, self.skip)
+            ids.append(i)
+            payloads.append(p)
+        return pa.Table.from_arrays(
+            [pa.array(np.concatenate(ids)), pa.concat_arrays(payloads)],
+            schema=PACKED_SCHEMA)
+
+
+class WriteRuns:
+    """map_groups callable of the fused build: one group = one partition's
+    packed rows. Unpacks them and hands the rows to ``SegmentWriter``
+    (segment and length ids) or ``DocstoreWriter`` (docstore ids); returns
+    that writer's manifest row."""
+
+    def __init__(self, out_dir: str, cfg: IndexConfig):
+        self.total = cfg.num_partitions + cfg.num_length_partitions
+        self.segments = SegmentWriter(out_dir, cfg)
+        self.docstore = DocstoreWriter(out_dir)
+
+    def __call__(self, group: pa.Table) -> pa.Table:
+        part = int(group["part"][0].as_py())
+        rows = pa.concat_tables([
+            pa.ipc.open_stream(v.as_buffer()).read_all()
+            for chunk in group["payload"].chunks for v in chunk])
+        writer = self.segments if part < self.total else self.docstore
+        return writer(rows)

@@ -149,6 +149,111 @@ def test_resume_mid_docstore(built, tmp_path):
     assert np.unique(ids).size == ids.size == len(built.table)
 
 
+def _mtimes(index_dir):
+    """{relative path: mtime} of every segment, lengths and docstore file."""
+    return {os.path.relpath(f, index_dir): os.path.getmtime(f)
+            for sub in ("segments", "lengths", "docstore")
+            for f in glob.glob(os.path.join(index_dir, sub, "*.parquet"))}
+
+
+def _assert_same_tables(got_dir, want_dir):
+    files = sorted(_mtimes(want_dir))
+    assert sorted(_mtimes(got_dir)) == files
+    for rel in files:
+        assert pq.read_table(os.path.join(got_dir, rel)).equals(
+            pq.read_table(os.path.join(want_dir, rel))), rel
+
+
+def test_build_equals_its_stages(built, tmp_path):
+    """The fused one-shuffle build only composes the public stages: the
+    same stages run as separate Ray Data steps (docstats_batch →
+    DocstoreWriter, ExplodePostings → SegmentWriter) write equal tables."""
+    import pyarrow as pa
+    from searchengine_ray.build import estimate_hot_terms
+    from searchengine_ray.stages.docstats import docstats_batch
+    from searchengine_ray.stages.postings import (DocstoreWriter,
+                                                  ExplodePostings,
+                                                  SegmentWriter,
+                                                  docstore_part_ids)
+    cfg = built.cfg
+    out = str(tmp_path / "staged")
+
+    def add_dpart(batch):
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        return batch.append_column("dpart",
+                                   pa.array(docstore_part_ids(ids, cfg)))
+
+    src = read_source(built.corpus_dir).materialize()
+    hot = estimate_hot_terms(src, cfg)
+    assert hot == built.manifest["hot_terms"]
+    docstore_writer = DocstoreWriter(out)
+    (src.map_batches(docstats_batch, batch_format="pyarrow")
+     .map_batches(add_dpart, batch_format="pyarrow")
+     .groupby("dpart")
+     .map_groups(lambda g: docstore_writer(g), batch_format="pyarrow")
+     .take_all())
+    segment_writer = SegmentWriter(out, cfg)
+    (src.map_batches(ExplodePostings(cfg, hot), batch_format="pyarrow")
+     .groupby("part")
+     .map_groups(lambda g: segment_writer(g), batch_format="pyarrow")
+     .take_all())
+    _assert_same_tables(out, built.index_dir)
+
+
+def test_resume_mixed_crash(built, tmp_path):
+    """A crash run that left out segment AND docstore partitions at once:
+    the resume writes exactly the missing files, leaves the finished ones
+    untouched and ends table-identical to a one-shot build."""
+    cfg = built.cfg
+    src = read_source(built.corpus_dir)
+    total = cfg.num_partitions + cfg.num_length_partitions
+    ds_ids = list(range(total, total + cfg.num_docstore_partitions))
+    crash_dir = str(tmp_path / "crash")
+    subset = {0, 2, 4, 5, cfg.num_partitions} | set(ds_ids[::2])
+    m1 = build_index(src, crash_dir, cfg, only_parts=subset)
+    assert m1["complete"] is False and m1["docstore_done"] is False
+    kinds = {v["kind"] for v in m1["partitions"].values()}
+    assert kinds == {"segment", "lengths", "docstore"}
+    assert {int(k) for k in m1["partitions"]} <= subset
+    before = _mtimes(crash_dir)
+
+    m2 = build_index(src, crash_dir, cfg)
+    assert m2["complete"] is True and m2["docstore_done"] is True
+    after = _mtimes(crash_dir)
+    assert {rel: after[rel] for rel in before} == before
+    _assert_same_tables(crash_dir, built.index_dir)
+    assert m2["hot_terms"] == built.manifest["hot_terms"]
+
+
+def test_resume_restores_deleted_docstore(built, tmp_path):
+    """Deleting docstore/ from a complete index: the resume writes the
+    docstore again, identically, and rewrites no segment or lengths file."""
+    import shutil
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built.index_dir, idx)
+    shutil.rmtree(os.path.join(idx, "docstore"))
+    before = _mtimes(idx)
+    m = build_index(read_source(built.corpus_dir), idx, built.cfg)
+    assert m["complete"] is True and m["docstore_done"] is True
+    after = _mtimes(idx)
+    assert {rel: after[rel] for rel in before} == before
+    _assert_same_tables(idx, built.index_dir)
+
+
+def test_empty_source(ray_session, tmp_path):
+    """A zero-row source builds without error into an empty, incomplete
+    index with no partitions."""
+    import pyarrow as pa
+    import ray.data
+    empty = pa.table({c: pa.array([], pa.string())
+                      for c in ("repo", "path", "commit", "lang", "content")})
+    m = build_index(ray.data.from_arrow(empty), str(tmp_path / "idx"),
+                    IndexConfig(num_partitions=4, num_length_partitions=2))
+    assert m["num_docs"] == 0
+    assert m["complete"] is False and m["docstore_done"] is True
+    assert m["partitions"] == {}
+
+
 def test_docstore_and_lengths_files_cover_disjoint_ranges(built):
     """Range-partitioning contract: each docstore AND lengths file covers
     a disjoint doc_id RANGE (whole-file pruning for lazy_docstore and

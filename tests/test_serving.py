@@ -1477,13 +1477,15 @@ def test_http_html_pages(http_server):
 def test_render_url_scheme_guard(built):
     """html.escape does not neutralize javascript:/data: URL schemes —
     the renderer must only emit an anchor for http(s)/rooted URLs and
-    fall back to plain-text titles otherwise (round-4 advice)."""
+    fall back to plain-text titles otherwise (round-4 advice). A
+    protocol-relative URL ("//host/x", or "/\\host/x", which browsers
+    read the same way) leaves the site, so it is not rooted."""
     from searchengine_ray.query import QueryEngine
     from searchengine_ray.serve import SearchApp
     eng = QueryEngine(built.index_dir, built.cfg)
     app = SearchApp(eng)
     payload = {
-        "query": "q", "total_results": 3, "search_source": "bm25",
+        "query": "q", "total_results": 6, "search_source": "bm25",
         "did_you_mean": None,
         "pagination": {"total_pages": 1, "current_page": 1,
                        "has_prev": False, "has_next": False,
@@ -1498,6 +1500,15 @@ def test_render_url_scheme_guard(built):
             {"title": "fine", "url": "https://ok.example/x",
              "description": "", "content_snippet": "", "score": 0.8,
              "source": ""},
+            {"title": "pr", "url": "//evil.host/x",
+             "description": "", "content_snippet": "", "score": 0.7,
+             "source": ""},
+            {"title": "bs", "url": "/\\evil.host/x",
+             "description": "", "content_snippet": "", "score": 0.6,
+             "source": ""},
+            {"title": "local", "url": "/local/x",
+             "description": "", "content_snippet": "", "score": 0.5,
+             "source": ""},
         ],
     }
     app.search = lambda q, page=1: payload
@@ -1505,6 +1516,9 @@ def test_render_url_scheme_guard(built):
     assert "href='javascript:" not in page and "href='data:" not in page
     assert "<h3>evil</h3>" in page and "<h3>datauri</h3>" in page
     assert "<a href='https://ok.example/x'>fine</a>" in page
+    assert "<h3>pr</h3>" in page and "<h3>bs</h3>" in page
+    assert "href='//" not in page and "href='/\\" not in page
+    assert "<a href='/local/x'>local</a>" in page
 
 
 def test_query_service_preload_segments_identical(built):
