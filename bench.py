@@ -311,18 +311,17 @@ def run_skew_evidence(num_docs: int = 48000) -> dict:
 def run_composite_join_skew_evidence(n_left: int = 400_000,
                                      n_right: int = 4000) -> dict:
     """Composite-key join skew evidence (round-4 verdict #4): one
-    (user_id, event_type) key carries half the left side; compare
-    equi_join_multi vs equi_join_multi_salted wall time and the
-    max/median shuffle-partition row counts (computed from the same
-    routing each operator uses). Output row COUNTS asserted equal."""
+    (user_id, event_type) key carries half the left side; compare the
+    composite-key ``equi_join`` without and with ``hot_keys`` on wall
+    time and the max/median shuffle-partition row counts of the left
+    side (computed by the join's own routing helpers). Output row
+    COUNTS asserted equal."""
     import numpy as np
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.common import _hash_key_columns
     from searchengine_ray.pipelines.join import (NUM_JOIN_PARTITIONS,
-                                                 detect_hot_keys_multi,
-                                                 equi_join_multi,
-                                                 equi_join_multi_salted)
+                                                 _route, _routing_hash,
+                                                 detect_hot_keys, equi_join)
 
     rng = np.random.default_rng(17)
     half = n_left // 2
@@ -345,31 +344,18 @@ def run_composite_join_skew_evidence(n_left: int = 400_000,
                                    size=n_right - 1)])),
         "payload": pa.array(rng.standard_normal(n_right)),
     })
+    keys = ["user_id", "event_type"]
     lds = ray.data.from_arrow(left).repartition(16).materialize()
     rds = ray.data.from_arrow(right).materialize()
-    hot = detect_hot_keys_multi(lds, ["user_id", "event_type"],
-                                threshold=n_left // 20)
-    l_sch, r_sch = left.schema, right.schema
-
-    # routing balance, computed exactly as each operator routes
-    h = _hash_key_columns(left, ["user_id", "event_type"])
-    plain_parts = np.bincount((h % np.uint64(NUM_JOIN_PARTITIONS))
-                              .astype(np.int64),
-                              minlength=NUM_JOIN_PARTITIONS)
-    hot_set = np.sort(hot)
-    pos = np.searchsorted(hot_set, h.view(np.int64))
-    is_hot = (pos < hot_set.size) & \
-        (hot_set[np.minimum(pos, max(hot_set.size - 1, 0))]
-         == h.view(np.int64)) if hot_set.size else \
-        np.zeros(len(h), dtype=bool)
+    hot = detect_hot_keys(lds, keys, threshold=n_left // 20)
     R = 8
-    salt = np.where(is_hot, np.arange(len(h), dtype=np.int64) % R, 0)
-    with np.errstate(over="ignore"):
-        mixed = h ^ (salt.astype(np.uint64)
-                     * np.uint64(0xC2B2AE3D27D4EB4F))
-    salted_parts = np.bincount((mixed % np.uint64(NUM_JOIN_PARTITIONS))
-                               .astype(np.int64),
-                               minlength=NUM_JOIN_PARTITIONS)
+
+    # routing balance of the left side, as the join routes it
+    h = _routing_hash(left, keys)
+    plain_parts, salted_parts = (
+        np.bincount(_route(h, hs, R, spread=True)[1],
+                    minlength=NUM_JOIN_PARTITIONS)
+        for hs in (np.empty(0, dtype=np.int64), hot))
 
     out: dict = {"hot_keys": int(hot.size)}
     counts = {}
@@ -383,18 +369,10 @@ def run_composite_join_skew_evidence(n_left: int = 400_000,
                                           2)}
     for label in ("unsalted", "salted"):
         t0 = time.perf_counter()
-        if label == "unsalted":
-            n = equi_join_multi(lds, rds, ["user_id", "event_type"],
-                                ["event_id"], ["payload"],
-                                left_schema=l_sch,
-                                right_schema=r_sch).count()
-        else:
-            n = equi_join_multi_salted(lds, rds,
-                                       ["user_id", "event_type"],
-                                       ["event_id"], ["payload"],
-                                       hot_hashes=hot, replicate=R,
-                                       left_schema=l_sch,
-                                       right_schema=r_sch).count()
+        n = equi_join(lds, rds, keys, keys, ["event_id"], ["payload"],
+                      hot_keys=hot if label == "salted" else None,
+                      replicate=R, left_schema=left.schema,
+                      right_schema=right.schema).count()
         out[label]["sec"] = round(time.perf_counter() - t0, 3)
         counts[label] = n
     assert counts["salted"] == counts["unsalted"], counts

@@ -109,15 +109,15 @@ def q_tpch_q3(sf_dir: str):
 
 
 def q_events_user_type_join(sf_dir: str, salted: bool = False):
-    """COMPOSITE-key distributed join (join.equi_join_multi): every
-    event picks up its (user_id, event_type) group's total and count —
-    the multi-column-key path that single-int64 ``equi_join`` can't
-    express without packing. The dim side is a lazy grouped aggregate;
+    """COMPOSITE-key distributed join (``join.equi_join`` with a list
+    key): every event picks up its (user_id, event_type) group's total
+    and count — an (int, string) key a single int64 key can't express
+    without packing. The dim side is a lazy grouped aggregate;
     ``right_schema`` skips the schema probe that would execute it
-    twice. ``salted=True`` routes hot composite keys through
-    ``equi_join_multi_salted`` (row-identical; skew twin)."""
+    twice. ``salted=True`` passes the hot composite keys as
+    ``hot_keys`` (row-identical; skew twin)."""
     from searchengine_ray.pipelines.common import grouped_aggregate
-    from searchengine_ray.pipelines.join import equi_join_multi
+    from searchengine_ray.pipelines.join import detect_hot_keys, equi_join
 
     def dim_partial(b: pa.Table) -> pa.Table:
         vc = np.round(b["value"].to_numpy(zero_copy_only=False)
@@ -153,22 +153,14 @@ def q_events_user_type_join(sf_dir: str, salted: bool = False):
                          ("event_type", pa.string()),
                          ("total_c", pa.int64()),
                          ("n_events", pa.int64())])
-    if salted:
-        # adversarial-skew twin: hot (user_id, event_type) composites
-        # (threshold ≈ 1.5× the testdata's mean key size, so real keys
-        # salt) spread/replicate across salts; same oracle, same output
-        from searchengine_ray.pipelines.join import (detect_hot_keys_multi,
-                                                     equi_join_multi_salted)
-        hot = detect_hot_keys_multi(left, ["user_id", "event_type"],
-                                    threshold=20)
-        return equi_join_multi_salted(
-            left, dim, ["user_id", "event_type"],
-            ["event_id"], ["total_c", "n_events"],
-            hot_hashes=hot, replicate=4,
-            left_schema=sch, right_schema=dim_sch)
-    return equi_join_multi(left, dim, ["user_id", "event_type"],
-                           ["event_id"], ["total_c", "n_events"],
-                           left_schema=sch, right_schema=dim_sch)
+    keys = ["user_id", "event_type"]
+    # adversarial-skew twin: hot (user_id, event_type) composites
+    # (threshold ≈ 1.5× the testdata's mean key size, so real keys
+    # salt) spread/replicate across salts; same oracle, same output
+    hot = detect_hot_keys(left, keys, threshold=20) if salted else None
+    return equi_join(left, dim, keys, keys, ["event_id"],
+                     ["total_c", "n_events"], hot_keys=hot, replicate=4,
+                     left_schema=sch, right_schema=dim_sch)
 
 
 def sql_events_user_type_join() -> str:
@@ -1681,11 +1673,10 @@ def q_events_user_join_salted(sf_dir: str):
     """Skew-safe fact⋈dimension enrichment: every event joined to its
     user's corpus-wide totals. The user keys are HOT by construction
     (few users, many events each) — detect_hot_keys finds them and
-    equi_join_salted spreads each hot user's events across salts while
-    replicating the one dimension row per salt. Output identical to the
-    unsalted join (same SQL oracle)."""
-    from searchengine_ray.pipelines.join import (detect_hot_keys,
-                                                 equi_join_salted)
+    equi_join(hot_keys=...) spreads each hot user's events across salts
+    while replicating the one dimension row per salt. Output identical
+    to the unsalted join (same SQL oracle)."""
+    from searchengine_ray.pipelines.join import detect_hot_keys, equi_join
 
     ev = _events(sf_dir, ["event_id", "user_id", "value"])
 
@@ -1713,9 +1704,9 @@ def q_events_user_join_salted(sf_dir: str):
              .map_batches(fin, batch_format="pyarrow"))
     left = _events(sf_dir, ["event_id", "user_id"])
     hot = detect_hot_keys(left, "user_id", threshold=32)
-    return equi_join_salted(left, dim, "user_id", "uid",
-                            ["event_id"], ["total_c", "n_events"],
-                            hot_keys=hot, replicate=8)
+    return equi_join(left, dim, "user_id", "uid",
+                     ["event_id"], ["total_c", "n_events"],
+                     hot_keys=hot, replicate=8)
 
 
 def sql_events_user_join_salted() -> str:

@@ -2,19 +2,29 @@
 Dataset API lacks (SURVEY.md §2.6: the reference joins only via in-heap
 dict lookups, indexer.py:330-341).
 
-Ray-Data-first plan: tag each side, union, ONE coarse shuffle keyed by
-hash(key) (both sides of a key land in the same partition), then a fully
-vectorized per-partition sort-merge: right rows sort by key, each left
-key finds its right-run via searchsorted, and many-to-many expansion is
-a ``np.repeat`` over run lengths — no per-row or per-key Python. The
-broadcast small-side variant (no shuffle at all) lives in
-``events.value_range_join``; this operator is the both-sides-big path.
+One operator, ``equi_join``, one plan: tag each side, union, ONE coarse
+shuffle keyed by hash(key) (both sides of a key land in the same
+partition), then a fully vectorized per-partition sort-merge: right rows
+sort by key, each left key finds its right-run via searchsorted, and
+many-to-many expansion is a ``np.repeat`` over run lengths — no per-row
+or per-key Python. The broadcast small-side variant (no shuffle at all)
+lives in ``events.value_range_join``; this operator is the
+both-sides-big path.
 
-Skew: a hot key's rows land in one partition under the plain operator;
-``detect_hot_keys`` + ``equi_join_salted`` handle it explicitly (hot
-left rows spread across R salts, hot right rows replicate per salt —
-output row-identical, asserted in tests). The coarse partition count
-spreads distinct keys evenly either way.
+Key forms. A column NAME is an integer key (cast to int64, output column
+``key``), routed by ``key·_MIX``. A LIST of names is a composite key
+(any int / string mix; output columns named after the left keys; the
+right side may use other names), routed by ``common._hash_key_columns``.
+A name is a composite of arity 1 inside the partition: equality is
+decided on an exact mixed-radix code of dense per-column ranks, so a
+64-bit hash collision only co-locates distinct keys, never joins them.
+
+Skew: a hot key's rows land in one partition under plain routing.
+``detect_hot_keys`` returns the routing hashes of the hot keys; passed as
+``hot_keys``, hot left rows spread across ``replicate`` salts and hot
+right rows replicate per salt (output row-identical, asserted in tests).
+The salt XORs ``salt·_SALT_MIX`` into the routing hash; non-hot rows ride
+salt 0, so the plain join IS the salted join with an empty hot set.
 """
 
 from __future__ import annotations
@@ -25,134 +35,172 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from searchengine_ray.pipelines.common import _hash_key_columns
+
 NUM_JOIN_PARTITIONS = 64
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_SALT_MIX = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def _key_part(key: np.ndarray, num_parts: int) -> np.ndarray:
+def _key_list(key: str | list[str]) -> list[str]:
+    return [key] if isinstance(key, str) else list(key)
+
+
+def _routing_hash(batch: pa.Table, key: str | list[str]) -> np.ndarray:
+    """uint64 routing hash per row: ``key·_MIX`` for a column name (odd
+    multiplier, so a bijection on int64 keys), the multi-column mix for
+    a list."""
+    if isinstance(key, str):
+        k = pc.cast(batch[key], pa.int64()).to_numpy(zero_copy_only=False)
+        with np.errstate(over="ignore"):
+            return k.astype(np.uint64) * _MIX
+    return _hash_key_columns(batch, key)
+
+
+def _route(h: np.ndarray, hot: np.ndarray, replicate: int,
+           spread: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(row index, partition) of one side's shuffle rows. Rows whose
+    hash is in the sorted ``hot`` set are salted: with ``spread`` (left
+    side) each takes ONE salt round-robin over ``replicate``; otherwise
+    (right side) each repeats once per salt, so every (key, salt)
+    partition holds the key's full right side. Other rows ride salt 0."""
+    hs = h.view(np.int64)
+    is_hot = (hot[np.minimum(np.searchsorted(hot, hs), hot.size - 1)]
+              == hs) if hot.size else np.zeros(len(h), dtype=bool)
+    if spread:
+        idx = np.arange(len(h), dtype=np.int64)
+        salt = np.where(is_hot, idx % replicate, 0)
+    else:
+        reps = np.where(is_hot, replicate, 1).astype(np.int64)
+        idx = np.repeat(np.arange(len(h), dtype=np.int64), reps)
+        salt = np.arange(len(idx), dtype=np.int64) - \
+            np.repeat(np.cumsum(reps) - reps, reps)
     with np.errstate(over="ignore"):
-        return ((key.astype(np.uint64) * _MIX)
-                % np.uint64(num_parts)).astype(np.int32)
+        mixed = h[idx] ^ (salt.astype(np.uint64) * _SALT_MIX)
+    return idx, (mixed % np.uint64(NUM_JOIN_PARTITIONS)).astype(np.int32)
 
 
+def _split_null_keys(batch: pa.Table, keys: list[str], side: int,
+                     how: str):
+    """(valid_rows, null_rows | None) — a row with ANY null key column
+    can never match (SQL semantics); only left/anti keep left ones."""
+    valid = None
+    for c in keys:
+        v = pc.is_valid(batch[c])
+        valid = v if valid is None else pc.and_(valid, v)
+    if len(batch) == 0 or bool(pc.all(valid).as_py()):
+        return batch, None
+    null_rows = batch.filter(pc.invert(valid)) \
+        if side == 0 and how in ("left", "anti") else None
+    return batch.filter(valid), null_rows
 
-def _merge_fn(l_schema: pa.Schema, r_schema: pa.Schema,
-              left_cols: list[str], right_cols: list[str], how: str):
-    """Per-partition vectorized sort-merge shared by the plain and
-    salted joins (the salted variant only changes the partition key).
 
-    ``side == 2`` rows are NULL-KEY left rows (SQL semantics: a NULL
-    key matches nothing, but left/anti still emit the row) — they skip
-    the sort-merge entirely and append as unmatched output."""
+def _composite_code(group: pa.Table, arity: int) -> np.ndarray:
+    """Exact mixed-radix code of each row's key columns from dense
+    per-column ranks: equal codes ⇔ equal keys, and code order is key
+    order (so an arity-1 integer key sorts exactly like the raw key)."""
+    code = np.zeros(len(group), dtype=np.int64)
+    for i in range(arity):
+        rank = pc.rank(group[f"k{i}"], tiebreaker="dense") \
+            .to_numpy().astype(np.int64)
+        card = int(rank.max(initial=0)) + 1
+        if code.max(initial=0) > (1 << 62) // card:
+            raise ValueError("equi_join: composite key cardinality "
+                             "overflows the mixed-radix code; split the "
+                             "join")
+        code = code * card + rank
+    return code
+
+
+def _merge_fn(out_keys: list[str], left_cols: list[str],
+              right_cols: list[str], r_schema: pa.Schema, how: str):
+    """Per-partition vectorized sort-merge. ``side == 2`` rows are
+    NULL-KEY left rows (only sent for left/anti): they never compare and
+    append as unmatched output."""
     with_right = how in ("inner", "left")
+    none = np.empty(0, dtype=np.int64)
 
-    def l_type(c):
-        return l_schema.field(c).type
-
-    def r_type(c):
-        return r_schema.field(c).type
-
-    def left_only_rows(group: pa.Table, lidx: np.ndarray,
-                       null_right: bool) -> pa.Table:
-        lt = pa.array(lidx)
-        cols = {"key": pc.take(group["key"], lt)}
+    def emit(group: pa.Table, lidx: np.ndarray,
+             ridx: np.ndarray | None = None) -> pa.Table:
+        """Keys and left columns at ``lidx``; right columns (inner/left
+        only) at ``ridx``, or typed NULLs when ``ridx`` is None."""
+        lt = pa.array(lidx, type=pa.int64())
+        cols = {c: pc.take(group[f"k{i}"], lt)
+                for i, c in enumerate(out_keys)}
         for c in left_cols:
             cols[c] = pc.take(group[f"l_{c}"], lt)
-        if null_right:
+        if with_right:
             for c in right_cols:
-                cols[c] = pa.nulls(len(lidx), type=r_type(c))
+                cols[c] = (pa.nulls(len(lidx), type=r_schema.field(c).type)
+                           if ridx is None else
+                           pc.take(group[f"r_{c}"], pa.array(ridx)))
         return pa.table(cols)
 
     def merge(group: pa.Table) -> pa.Table:
         side = group["side"].to_numpy(zero_copy_only=False)
-        key = pc.fill_null(group["key"], 0).to_numpy(zero_copy_only=False)
-        li = np.nonzero(side == 0)[0]
-        ri = np.nonzero(side == 1)[0]
-        ni = np.nonzero(side == 2)[0]      # null-key left rows
-
-        def plus_null_rows(tbl: pa.Table) -> pa.Table:
-            if ni.size == 0 or how in ("inner", "semi"):
-                return tbl
-            extra = left_only_rows(group, ni,
-                                   null_right=(how == "left"))
-            return pa.concat_tables([tbl, extra]) if len(tbl) else extra
-
-        empty = pa.table(
-            {"key": pa.array([], type=pa.int64()),
-             **{c: pa.array([], type=l_type(c)) for c in left_cols},
-             **({c: pa.array([], type=r_type(c)) for c in right_cols}
-                if with_right else {})})
-        if li.size == 0:
-            return plus_null_rows(empty)
-        if ri.size == 0:
-            if how == "inner" or how == "semi":
-                return empty
-            # left: every left row with null right cols; anti: every row
-            return plus_null_rows(
-                left_only_rows(group, li, null_right=(how == "left")))
-        # deterministic: stable sort both sides by key, keep row order
-        lo = li[np.argsort(key[li], kind="stable")]
-        ro = ri[np.argsort(key[ri], kind="stable")]
-        lk, rk = key[lo], key[ro]
-        starts = np.searchsorted(rk, lk, side="left")
-        ends = np.searchsorted(rk, lk, side="right")
-        counts = ends - starts
-        hit = counts > 0
+        li, ri, ni = (np.nonzero(side == s)[0] for s in (0, 1, 2))
+        lidx = ridx = semi = none
+        unmatched = li          # left rows in input order when no merge
+        if li.size and ri.size:
+            # deterministic: stable sort both sides by key code
+            code = _composite_code(group, len(out_keys))
+            lo = li[np.argsort(code[li], kind="stable")]
+            ro = ri[np.argsort(code[ri], kind="stable")]
+            lk, rk = code[lo], code[ro]
+            starts = np.searchsorted(rk, lk, side="left")
+            counts = np.searchsorted(rk, lk, side="right") - starts
+            hit = counts > 0
+            semi, unmatched = lo[hit], lo[~hit]
+            starts, counts = starts[hit], counts[hit]
+            # many-to-many expansion: left row i repeats counts[i] times,
+            # right indices are each run's consecutive positions
+            lidx = np.repeat(semi, counts)
+            ridx = ro[np.arange(int(counts.sum())) -
+                      np.repeat(np.cumsum(counts) - counts, counts) +
+                      np.repeat(starts, counts)]
+        if how == "inner":
+            return emit(group, lidx, ridx)
         if how == "semi":
-            return left_only_rows(group, lo[hit], null_right=False)
+            return emit(group, semi)
+        unmatched = np.concatenate([unmatched, ni])
         if how == "anti":
-            return plus_null_rows(
-                left_only_rows(group, lo[~hit], null_right=False))
-        miss_lo = lo[~hit]
-        if not hit.any():
-            return (plus_null_rows(
-                        left_only_rows(group, miss_lo, null_right=True))
-                    if how == "left" else empty)
-        lo, starts, counts = lo[hit], starts[hit], counts[hit]
-        # many-to-many expansion: left row i repeats counts[i] times,
-        # right indices are each run's consecutive positions
-        lidx = np.repeat(lo, counts)
-        offs = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        ridx = ro[np.arange(int(counts.sum())) -
-                  np.repeat(offs, counts) + np.repeat(starts, counts)]
-        lt = pa.array(lidx)
-        rt = pa.array(ridx)
-        cols = {"key": pc.take(group["key"], lt)}
-        for c in left_cols:
-            cols[c] = pc.take(group[f"l_{c}"], lt)
-        for c in right_cols:
-            cols[c] = pc.take(group[f"r_{c}"], rt)
-        matched = pa.table(cols)
-        if how == "left" and miss_lo.size:
-            matched = pa.concat_tables(
-                [matched, left_only_rows(group, miss_lo, null_right=True)])
-        return plus_null_rows(matched)
+            return emit(group, unmatched)
+        return pa.concat_tables([emit(group, lidx, ridx),
+                                 emit(group, unmatched)])
 
     return merge
 
 
 def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-              left_key: str, right_key: str,
+              left_key: str | list[str], right_key: str | list[str],
               left_cols: list[str], right_cols: list[str],
-              num_parts: int = NUM_JOIN_PARTITIONS,
               how: str = "inner",
+              hot_keys: np.ndarray | None = None,
+              replicate: int = 8,
               left_schema: "pa.Schema | None" = None,
               right_schema: "pa.Schema | None" = None
               ) -> "ray.data.Dataset":
-    """Distributed equi-join on int64 keys; ``how`` ∈ inner / left /
-    semi / anti.
+    """Distributed equi-join; ``how`` ∈ inner / left / semi / anti.
 
-    inner — key + left_cols + right_cols; many-to-many keys expand to
+    inner — keys + left_cols + right_cols; many-to-many keys expand to
         the full cross product of their rows, ordered deterministically
         (left row order × right row order within key).
     left  — inner plus unmatched left rows with typed-null right cols.
-    semi  — left rows (key + left_cols) having ≥1 right match, each
+    semi  — left rows (keys + left_cols) having ≥1 right match, each
         emitted ONCE (no expansion — the "has an embedding?" filter).
     anti  — left rows with NO right match (the "missing dimension
         row" audit). semi/anti never materialize the cross product.
 
-    All four modes share the single tag→union→hash-shuffle→vectorized
-    sort-merge plan; the mode only changes the per-partition emit.
+    Keys: a column name each (int64 key, output column ``key``) or a
+    list of names each (composite key, output columns named after
+    ``left_key``). A NULL in any key column matches nothing (SQL).
+
+    ``hot_keys``: routing hashes from :func:`detect_hot_keys`. Hot left
+    rows spread across ``replicate`` salts, hot right rows replicate to
+    every salt; the output holds the same rows as without salting, at
+    the cost of |hot right rows| × ``replicate`` extra shuffled rows —
+    small when hot keys are few and the hot side is the LEFT (the
+    fact-table-joins-dimension shape this targets).
 
     ``left_schema`` / ``right_schema``: pass the side's (statically
     known) Arrow schema to SKIP the ``Dataset.schema()`` probe — when a
@@ -165,447 +213,80 @@ def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     assert how in ("inner", "left", "semi", "anti"), how
     overlap = set(left_cols) & set(right_cols)
     assert not overlap, f"column name collision: {sorted(overlap)}"
-
-    # Build each side with the FULL output schema (other side's payload
-    # columns as typed nulls) so the union has one schema.
     l_schema = left_schema if left_schema is not None \
         else left.schema().base_schema
     r_schema = right_schema if right_schema is not None \
         else right.schema().base_schema
-
-    def l_type(c):
-        return l_schema.field(c).type
-
-    def r_type(c):
-        return r_schema.field(c).type
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        # SQL NULL-key semantics: a NULL key matches nothing. inner/semi
-        # drop the row; left/anti still EMIT it (side=2 — unmatched by
-        # construction, spread uniformly over partitions).
-        karr = pc.cast(batch[left_key], pa.int64())
-        null_rows = None
-        if karr.null_count:
-            valid = pc.is_valid(karr)
-            if how in ("left", "anti"):
-                null_rows = batch.filter(pc.invert(valid))
-            batch = batch.filter(valid)
-            karr = pc.cast(batch[left_key], pa.int64())
-        k = karr.to_numpy(zero_copy_only=False)
-        out = {"part": pa.array(_key_part(k, num_parts)),
-               "key": pa.array(k),
-               "side": pa.array(np.zeros(len(batch), dtype=np.int64))}
-        for c in left_cols:
-            out[f"l_{c}"] = batch[c]
-        for c in right_cols:
-            out[f"r_{c}"] = pa.nulls(len(batch), type=r_type(c))
-        t = pa.table(out)
-        if null_rows is not None and len(null_rows):
-            n = len(null_rows)
-            nt = {"part": pa.array((np.arange(n) % num_parts)
-                                   .astype(np.int32)),
-                  "key": pa.nulls(n, type=pa.int64()),
-                  "side": pa.array(np.full(n, 2, dtype=np.int64))}
-            for c in left_cols:
-                nt[f"l_{c}"] = null_rows[c]
-            for c in right_cols:
-                nt[f"r_{c}"] = pa.nulls(n, type=r_type(c))
-            t = pa.concat_tables([t, pa.table(nt)])
-        return t
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        karr = pc.cast(batch[right_key], pa.int64())
-        if karr.null_count:        # NULL never matches — drop (all modes)
-            batch = batch.filter(pc.is_valid(karr))
-            karr = pc.cast(batch[right_key], pa.int64())
-        k = karr.to_numpy(zero_copy_only=False)
-        out = {"part": pa.array(_key_part(k, num_parts)),
-               "key": pa.array(k),
-               "side": pa.array(np.ones(len(batch), dtype=np.int64))}
-        for c in left_cols:
-            out[f"l_{c}"] = pa.nulls(len(batch), type=l_type(c))
-        for c in right_cols:
-            out[f"r_{c}"] = batch[c]
-        return pa.table(out)
-
-    unioned = (left.map_batches(tag_left, batch_format="pyarrow")
-               .union(right.map_batches(tag_right,
-                                        batch_format="pyarrow")))
-    return unioned.groupby("part").map_groups(
-        _merge_fn(l_schema, r_schema, left_cols, right_cols, how),
-        batch_format="pyarrow")
-
-
-def detect_hot_keys(ds: "ray.data.Dataset", key_col: str,
-                    threshold: int) -> np.ndarray:
-    """Keys whose row count ≥ ``threshold`` — the bounded hot set for
-    ``equi_join(..., hot_keys=...)``. Per-batch partial counts (the
-    shuffle moves ≤ distinct-keys-per-batch rows), tiny groupby sum,
-    then a driver fetch bounded by the number of HOT keys (few by
-    definition — a key is hot because rows concentrate on it)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        k = pc.cast(batch[key_col], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        u, c = np.unique(k, return_counts=True)
-        return pa.table({"key": pa.array(u),
-                         "cnt": pa.array(c.astype(np.int64))})
-
-    tot = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("key").sum("cnt"))
-
-    def filt(b: pa.Table) -> pa.Table:
-        c = b["sum(cnt)"].to_numpy(zero_copy_only=False)
-        return pa.table({"key": b.filter(pa.array(c >= threshold))["key"]})
-
-    hot = []
-    for b in tot.map_batches(filt, batch_format="pyarrow") \
-               .iter_batches(batch_format="pyarrow"):
-        hot.append(b["key"].to_numpy(zero_copy_only=False))
-    return np.sort(np.concatenate(hot)) if hot else \
-        np.empty(0, dtype=np.int64)
-
-
-def equi_join_salted(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                     left_key: str, right_key: str,
-                     left_cols: list[str], right_cols: list[str],
-                     hot_keys: np.ndarray,
-                     replicate: int = 8,
-                     num_parts: int = NUM_JOIN_PARTITIONS,
-                     how: str = "inner") -> "ray.data.Dataset":
-    """Skew-safe ``equi_join``: rows of the ``hot_keys`` set no longer
-    all land in one partition.
-
-    Left rows with a hot key spread uniformly across ``replicate``
-    salts (each row to exactly ONE salt — any assignment yields the
-    same output, so the salt needs no cross-run determinism); right
-    rows with a hot key REPLICATE to every salt, so every (key, salt)
-    partition still holds the key's full right side. Non-hot keys ride
-    salt 0 unreplicated. Output is row-identical to the unsalted join
-    (asserted in tests); the cost is |hot right rows| × replicate extra
-    shuffled rows — small when hot keys are few and the hot side is the
-    LEFT (the fact-table-joins-dimension shape this targets).
-
-    The per-partition merge is the unsalted operator's: partitions are
-    keyed by mix(key, salt) instead of mix(key).
-    """
-    assert how in ("inner", "left", "semi", "anti"), how
-    # anti/semi/left correctness under salting needs every left row to
-    # see the key's FULL right side — guaranteed, since right hot rows
-    # replicate to all salts and non-hot rows share salt 0.
-    hot = np.sort(np.asarray(hot_keys, dtype=np.int64))
+    lkeys, rkeys = _key_list(left_key), _key_list(right_key)
+    assert len(lkeys) == len(rkeys), (lkeys, rkeys)
+    if isinstance(left_key, str):
+        out_keys, key_types = ["key"], [pa.int64()]
+    else:
+        out_keys = lkeys
+        key_types = [l_schema.field(c).type for c in lkeys]
+    assert not set(out_keys) & (set(left_cols) | set(right_cols))
+    hot = np.sort(np.asarray(hot_keys if hot_keys is not None else [],
+                             dtype=np.int64))
     R = max(int(replicate), 1)
 
-    def salted_part(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            mixed = (key.astype(np.uint64) * _MIX) ^ \
-                (salt.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-            return (mixed % np.uint64(num_parts)).astype(np.int32)
-
-    l_schema = left.schema().base_schema
-    r_schema = right.schema().base_schema
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        karr = pc.cast(batch[left_key], pa.int64())
-        null_rows = None
-        if karr.null_count:        # SQL NULL-key semantics (see equi_join)
-            valid = pc.is_valid(karr)
-            if how in ("left", "anti"):
-                null_rows = batch.filter(pc.invert(valid))
-            batch = batch.filter(valid)
-            karr = pc.cast(batch[left_key], pa.int64())
-        k = karr.to_numpy(zero_copy_only=False)
-        if hot.size:
-            pos = np.searchsorted(hot, k)
-            is_hot = (pos < hot.size) & (hot[np.minimum(pos, hot.size - 1)]
-                                         == k)
-        else:
-            is_hot = np.zeros(len(k), dtype=bool)
-        salt = np.where(is_hot,
-                        np.arange(len(k), dtype=np.int64) % R, 0)
-        out = {"part": pa.array(salted_part(k, salt)),
-               "key": pa.array(k),
-               "side": pa.array(np.zeros(len(k), dtype=np.int64))}
+    def rows(batch: pa.Table, side: int, keys: list[str],
+             part: np.ndarray) -> pa.Table:
+        n = len(batch)
+        out = {"part": pa.array(part),
+               "side": pa.array(np.full(n, side, dtype=np.int64))}
+        for i, c in enumerate(keys):
+            out[f"k{i}"] = pc.cast(batch[c], key_types[i])
         for c in left_cols:
-            out[f"l_{c}"] = batch[c]
+            out[f"l_{c}"] = pa.nulls(n, type=l_schema.field(c).type) \
+                if side == 1 else batch[c]
         for c in right_cols:
-            out[f"r_{c}"] = pa.nulls(len(k), type=r_schema.field(c).type)
-        t = pa.table(out)
-        if null_rows is not None and len(null_rows):
-            n = len(null_rows)
-            nt = {"part": pa.array((np.arange(n) % num_parts)
-                                   .astype(np.int32)),
-                  "key": pa.nulls(n, type=pa.int64()),
-                  "side": pa.array(np.full(n, 2, dtype=np.int64))}
-            for c in left_cols:
-                nt[f"l_{c}"] = null_rows[c]
-            for c in right_cols:
-                nt[f"r_{c}"] = pa.nulls(n, type=r_schema.field(c).type)
-            t = pa.concat_tables([t, pa.table(nt)])
-        return t
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        karr = pc.cast(batch[right_key], pa.int64())
-        if karr.null_count:        # NULL never matches — drop (all modes)
-            batch = batch.filter(pc.is_valid(karr))
-            karr = pc.cast(batch[right_key], pa.int64())
-        k = karr.to_numpy(zero_copy_only=False)
-        if hot.size:
-            pos = np.searchsorted(hot, k)
-            is_hot = (pos < hot.size) & (hot[np.minimum(pos, hot.size - 1)]
-                                         == k)
-        else:
-            is_hot = np.zeros(len(k), dtype=bool)
-        reps = np.where(is_hot, R, 1).astype(np.int64)
-        idx = np.repeat(np.arange(len(k), dtype=np.int64), reps)
-        # salt sequence 0..reps-1 within each replicated run
-        offs = np.concatenate([[0], np.cumsum(reps)[:-1]])
-        salt = np.arange(int(reps.sum()), dtype=np.int64) - \
-            np.repeat(offs, reps)
-        kk = k[idx]
-        ai = pa.array(idx)
-        out = {"part": pa.array(salted_part(kk, salt)),
-               "key": pa.array(kk),
-               "side": pa.array(np.ones(len(kk), dtype=np.int64))}
-        for c in left_cols:
-            out[f"l_{c}"] = pa.nulls(len(kk), type=l_schema.field(c).type)
-        for c in right_cols:
-            out[f"r_{c}"] = pc.take(batch[c], ai)
+            out[f"r_{c}"] = batch[c] if side == 1 else \
+                pa.nulls(n, type=r_schema.field(c).type)
         return pa.table(out)
 
-    unioned = (left.map_batches(tag_left, batch_format="pyarrow")
-               .union(right.map_batches(tag_right,
+    def tag(batch: pa.Table, side: int) -> pa.Table:
+        key, keys = (left_key, lkeys) if side == 0 else (right_key, rkeys)
+        batch, null_rows = _split_null_keys(batch, keys, side, how)
+        idx, part = _route(_routing_hash(batch, key), hot, R,
+                           spread=side == 0)
+        if len(idx) != len(batch):
+            batch = batch.take(pa.array(idx))
+        t = rows(batch, side, keys, part)
+        if null_rows is not None and len(null_rows):
+            # unmatched by construction: spread uniformly over partitions
+            n = len(null_rows)
+            t = pa.concat_tables([t, rows(
+                null_rows, 2, keys,
+                (np.arange(n) % NUM_JOIN_PARTITIONS).astype(np.int32))])
+        return t
+
+    unioned = (left.map_batches(lambda b: tag(b, 0), batch_format="pyarrow")
+               .union(right.map_batches(lambda b: tag(b, 1),
                                         batch_format="pyarrow")))
     return unioned.groupby("part").map_groups(
-        _merge_fn(l_schema, r_schema, left_cols, right_cols, how),
+        _merge_fn(out_keys, left_cols, right_cols, r_schema, how),
         batch_format="pyarrow")
 
 
-def equi_join_multi(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                    keys: list[str],
-                    left_cols: list[str], right_cols: list[str],
-                    num_parts: int = NUM_JOIN_PARTITIONS,
-                    how: str = "inner",
-                    left_schema: "pa.Schema | None" = None,
-                    right_schema: "pa.Schema | None" = None
-                    ) -> "ray.data.Dataset":
-    """COMPOSITE-key distributed equi-join (both sides share the
-    ``keys`` column names; any mix of int64 / string columns) — the
-    wider-key path referenced by ``dedup.consensus_pairs``.
-
-    Same tag→union→ONE-shuffle plan as ``equi_join``, partitioned by
-    the multi-column mixing hash (``common._hash_key_columns``). The
-    hash only ROUTES — equality is decided inside the partition by
-    dictionary-encoding each key column and merging on the exact
-    mixed-radix composite code, so a 64-bit hash collision can never
-    join distinct keys (it just co-locates them). Output columns:
-    keys + left_cols + right_cols. Modes: inner / left / semi / anti
-    with the single-key operator's semantics.
-    """
-    from searchengine_ray.pipelines.common import _hash_key_columns
-    assert how in ("inner", "left", "semi", "anti"), how
-    overlap = set(left_cols) & set(right_cols)
-    assert not overlap, f"column name collision: {sorted(overlap)}"
-    assert not (set(keys) & (set(left_cols) | set(right_cols)))
-
-    l_schema = left_schema if left_schema is not None \
-        else left.schema().base_schema
-    r_schema = right_schema if right_schema is not None \
-        else right.schema().base_schema
-
-    def l_type(c):
-        return l_schema.field(c).type
-
-    def r_type(c):
-        return r_schema.field(c).type
-
-    def k_type(c):
-        return l_schema.field(c).type
-
-    def tag(batch: pa.Table, side: int) -> pa.Table:
-        # SQL NULL-key semantics: any NULL key column ⇒ the row matches
-        # nothing (right rows drop; left rows drop for inner/semi, emit
-        # unmatched for left/anti via side=2)
-        batch, null_rows = _split_null_keys(batch, keys, side, how)
-        h = _hash_key_columns(batch, keys)
-        out = {"part": pa.array((h % np.uint64(num_parts))
-                                .astype(np.int32)),
-               "side": pa.array(np.full(len(batch), side,
-                                        dtype=np.int64))}
-        for c in keys:
-            out[f"k_{c}"] = pc.cast(batch[c], k_type(c))
-        for c in left_cols:
-            out[f"l_{c}"] = batch[c] if side == 0 else \
-                pa.nulls(len(batch), type=l_type(c))
-        for c in right_cols:
-            out[f"r_{c}"] = batch[c] if side == 1 else \
-                pa.nulls(len(batch), type=r_type(c))
-        t = pa.table(out)
-        if null_rows is not None and len(null_rows):
-            n = len(null_rows)
-            nt = {"part": pa.array((np.arange(n) % num_parts)
-                                   .astype(np.int32)),
-                  "side": pa.array(np.full(n, 2, dtype=np.int64))}
-            for c in keys:
-                nt[f"k_{c}"] = pc.cast(null_rows[c], k_type(c))
-            for c in left_cols:
-                nt[f"l_{c}"] = null_rows[c]
-            for c in right_cols:
-                nt[f"r_{c}"] = pa.nulls(n, type=r_type(c))
-            t = pa.concat_tables([t, pa.table(nt)])
-        return t
-
-    merge = _merge_multi_fn(l_schema, r_schema, keys, left_cols,
-                            right_cols, how)
-    unioned = (left.map_batches(lambda b: tag(b, 0),
-                                batch_format="pyarrow")
-               .union(right.map_batches(lambda b: tag(b, 1),
-                                        batch_format="pyarrow")))
-    return unioned.groupby("part").map_groups(merge,
-                                              batch_format="pyarrow")
-
-
-def _split_null_keys(batch: pa.Table, keys: list[str], side: int,
-                     how: str):
-    """(valid_rows, null_rows | None) for composite-key tagging — a row
-    with ANY null key column can never match (SQL semantics)."""
-    valid = None
-    for c in keys:
-        v = pc.is_valid(batch[c])
-        valid = v if valid is None else pc.and_(valid, v)
-    if len(batch) == 0 or bool(pc.all(valid).as_py()):
-        return batch, None
-    null_rows = batch.filter(pc.invert(valid)) \
-        if side == 0 and how in ("left", "anti") else None
-    return batch.filter(valid), null_rows
-
-
-def _merge_multi_fn(l_schema: pa.Schema, r_schema: pa.Schema,
-                    keys: list[str], left_cols: list[str],
-                    right_cols: list[str], how: str):
-    """Per-partition composite-key sort-merge shared by
-    ``equi_join_multi`` and ``equi_join_multi_salted`` (the salted
-    variant only changes the partition key)."""
-    with_right = how in ("inner", "left")
-
-    def l_type(c):
-        return l_schema.field(c).type
-
-    def r_type(c):
-        return r_schema.field(c).type
-
-    def k_type(c):
-        return l_schema.field(c).type
-
-    def composite_code(group: pa.Table) -> np.ndarray:
-        code = np.zeros(len(group), dtype=np.int64)
-        for c in keys:
-            col = group[f"k_{c}"]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            dic = col.dictionary_encode()
-            card = len(dic.dictionary) + 1
-            if code.max(initial=0) > (1 << 62) // max(card, 1):
-                raise ValueError(
-                    "equi_join_multi: composite key cardinality "
-                    "overflows the mixed-radix code; split the join")
-            # null-key (side=2) rows ride the group but never compare —
-            # fill their dictionary index with 0 so the cast is defined
-            code = code * card + np.asarray(
-                pc.fill_null(dic.indices, 0), dtype=np.int64)
-        return code
-
-    def key_cols_at(group: pa.Table, idx: np.ndarray) -> dict:
-        t = pa.array(idx)
-        return {c: pc.take(group[f"k_{c}"], t) for c in keys}
-
-    def left_only(group: pa.Table, lidx: np.ndarray,
-                  null_right: bool) -> pa.Table:
-        lt = pa.array(lidx)
-        cols = key_cols_at(group, lidx)
-        for c in left_cols:
-            cols[c] = pc.take(group[f"l_{c}"], lt)
-        if null_right:
-            for c in right_cols:
-                cols[c] = pa.nulls(len(lidx), type=r_type(c))
-        return pa.table(cols)
-
-    def merge(group: pa.Table) -> pa.Table:
-        side = group["side"].to_numpy(zero_copy_only=False)
-        code = composite_code(group)
-        li = np.nonzero(side == 0)[0]
-        ri = np.nonzero(side == 1)[0]
-        ni = np.nonzero(side == 2)[0]      # null-key left rows
-
-        def plus_null_rows(tbl: pa.Table) -> pa.Table:
-            if ni.size == 0 or how in ("inner", "semi"):
-                return tbl
-            extra = left_only(group, ni, null_right=(how == "left"))
-            return pa.concat_tables([tbl, extra]) if len(tbl) else extra
-
-        empty = pa.table(
-            {**{c: pa.array([], type=k_type(c)) for c in keys},
-             **{c: pa.array([], type=l_type(c)) for c in left_cols},
-             **({c: pa.array([], type=r_type(c)) for c in right_cols}
-                if with_right else {})})
-        if li.size == 0:
-            return plus_null_rows(empty)
-        if ri.size == 0:
-            if how in ("inner", "semi"):
-                return empty
-            return plus_null_rows(
-                left_only(group, li, null_right=(how == "left")))
-        lo = li[np.argsort(code[li], kind="stable")]
-        ro = ri[np.argsort(code[ri], kind="stable")]
-        lk, rk = code[lo], code[ro]
-        starts = np.searchsorted(rk, lk, side="left")
-        ends = np.searchsorted(rk, lk, side="right")
-        counts = ends - starts
-        hit = counts > 0
-        if how == "semi":
-            return left_only(group, lo[hit], null_right=False)
-        if how == "anti":
-            return plus_null_rows(
-                left_only(group, lo[~hit], null_right=False))
-        miss_lo = lo[~hit]
-        if not hit.any():
-            return (plus_null_rows(
-                        left_only(group, miss_lo, null_right=True))
-                    if how == "left" else empty)
-        lo2, starts, counts = lo[hit], starts[hit], counts[hit]
-        lidx = np.repeat(lo2, counts)
-        offs = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        ridx = ro[np.arange(int(counts.sum())) -
-                  np.repeat(offs, counts) + np.repeat(starts, counts)]
-        lt, rt = pa.array(lidx), pa.array(ridx)
-        cols = key_cols_at(group, lidx)
-        for c in left_cols:
-            cols[c] = pc.take(group[f"l_{c}"], lt)
-        for c in right_cols:
-            cols[c] = pc.take(group[f"r_{c}"], rt)
-        matched = pa.table(cols)
-        if how == "left" and miss_lo.size:
-            matched = pa.concat_tables(
-                [matched, left_only(group, miss_lo, null_right=True)])
-        return plus_null_rows(matched)
-
-    return merge
-
-
-def detect_hot_keys_multi(ds: "ray.data.Dataset", keys: list[str],
-                          threshold: int) -> np.ndarray:
-    """Composite keys whose row count ≥ ``threshold``, identified by
-    their 64-bit mixing hash (``common._hash_key_columns``) — the
-    bounded hot set for ``equi_join_multi_salted``. Hash-level identity
-    is safe here: a collision can only mark a cold key hot, and salting
-    a cold key is merely a few extra replicated right rows, never a
-    correctness change. Same digest shape as ``detect_hot_keys``."""
-    from searchengine_ray.pipelines.common import _hash_key_columns
+def detect_hot_keys(ds: "ray.data.Dataset", key: str | list[str],
+                    threshold: int) -> np.ndarray:
+    """Routing hashes (sorted int64) of the keys whose row count ≥
+    ``threshold`` — the bounded hot set for ``equi_join(...,
+    hot_keys=...)``; ``key`` takes either key form. For a column name
+    the hash is a bijection, so the set names exactly the hot keys; for
+    a list a collision can only mark a cold key hot, which salts it
+    (a few extra replicated right rows), never changes the output.
+    Per-batch partial counts (the shuffle moves ≤ distinct-keys-per-batch
+    rows), tiny groupby sum, then a driver fetch bounded by the number
+    of HOT keys (few by definition — a key is hot because rows
+    concentrate on it)."""
+    keys = _key_list(key)
 
     def partial(batch: pa.Table) -> pa.Table:
         # null-key rows can never join (SQL semantics) — never hot
         batch, _ = _split_null_keys(batch, keys, side=1, how="inner")
-        h = _hash_key_columns(batch, keys).view(np.int64)
-        u, c = np.unique(h, return_counts=True)
+        u, c = np.unique(_routing_hash(batch, key).view(np.int64),
+                         return_counts=True)
         return pa.table({"key": pa.array(u),
                          "cnt": pa.array(c.astype(np.int64))})
 
@@ -622,120 +303,3 @@ def detect_hot_keys_multi(ds: "ray.data.Dataset", keys: list[str],
         hot.append(b["key"].to_numpy(zero_copy_only=False))
     return np.sort(np.concatenate(hot)) if hot else \
         np.empty(0, dtype=np.int64)
-
-
-def equi_join_multi_salted(left: "ray.data.Dataset",
-                           right: "ray.data.Dataset",
-                           keys: list[str],
-                           left_cols: list[str], right_cols: list[str],
-                           hot_hashes: np.ndarray,
-                           replicate: int = 8,
-                           num_parts: int = NUM_JOIN_PARTITIONS,
-                           how: str = "inner",
-                           left_schema: "pa.Schema | None" = None,
-                           right_schema: "pa.Schema | None" = None
-                           ) -> "ray.data.Dataset":
-    """Skew-safe ``equi_join_multi``: composite keys in the
-    ``hot_hashes`` set (from :func:`detect_hot_keys_multi`) no longer
-    all land in one partition — the ``equi_join_salted`` scheme
-    generalized to multi-column keys.
-
-    Hot LEFT rows spread uniformly across ``replicate`` salts (each row
-    to exactly one salt); hot RIGHT rows replicate to every salt, so
-    each (key, salt) partition still holds the key's full right side —
-    which is also why left/semi/anti stay correct under salting. The
-    hot set is keyed by the 64-bit routing hash: collisions only salt a
-    cold key (harmless), never mis-join — in-partition equality is
-    still decided by the exact mixed-radix composite code
-    (``_merge_multi_fn``). Output row-identical to the unsalted join
-    (asserted in tests).
-    """
-    from searchengine_ray.pipelines.common import _hash_key_columns
-    assert how in ("inner", "left", "semi", "anti"), how
-    overlap = set(left_cols) & set(right_cols)
-    assert not overlap, f"column name collision: {sorted(overlap)}"
-    assert not (set(keys) & (set(left_cols) | set(right_cols)))
-    hot = np.sort(np.asarray(hot_hashes, dtype=np.int64))
-    R = max(int(replicate), 1)
-
-    l_schema = left_schema if left_schema is not None \
-        else left.schema().base_schema
-    r_schema = right_schema if right_schema is not None \
-        else right.schema().base_schema
-
-    def l_type(c):
-        return l_schema.field(c).type
-
-    def r_type(c):
-        return r_schema.field(c).type
-
-    def k_type(c):
-        return l_schema.field(c).type
-
-    def is_hot(h: np.ndarray) -> np.ndarray:
-        if not hot.size:
-            return np.zeros(len(h), dtype=bool)
-        pos = np.searchsorted(hot, h)
-        return (pos < hot.size) & (hot[np.minimum(pos, hot.size - 1)] == h)
-
-    def salted_part(h: np.ndarray, salt: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            mixed = h.view(np.uint64) ^ \
-                (salt.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-            return (mixed % np.uint64(num_parts)).astype(np.int32)
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        batch, null_rows = _split_null_keys(batch, keys, 0, how)
-        h = _hash_key_columns(batch, keys).view(np.int64)
-        salt = np.where(is_hot(h),
-                        np.arange(len(h), dtype=np.int64) % R, 0)
-        out = {"part": pa.array(salted_part(h, salt)),
-               "side": pa.array(np.zeros(len(h), dtype=np.int64))}
-        for c in keys:
-            out[f"k_{c}"] = pc.cast(batch[c], k_type(c))
-        for c in left_cols:
-            out[f"l_{c}"] = batch[c]
-        for c in right_cols:
-            out[f"r_{c}"] = pa.nulls(len(h), type=r_type(c))
-        t = pa.table(out)
-        if null_rows is not None and len(null_rows):
-            n = len(null_rows)
-            nt = {"part": pa.array((np.arange(n) % num_parts)
-                                   .astype(np.int32)),
-                  "side": pa.array(np.full(n, 2, dtype=np.int64))}
-            for c in keys:
-                nt[f"k_{c}"] = pc.cast(null_rows[c], k_type(c))
-            for c in left_cols:
-                nt[f"l_{c}"] = null_rows[c]
-            for c in right_cols:
-                nt[f"r_{c}"] = pa.nulls(n, type=r_type(c))
-            t = pa.concat_tables([t, pa.table(nt)])
-        return t
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        batch, _ = _split_null_keys(batch, keys, 1, how)
-        h = _hash_key_columns(batch, keys).view(np.int64)
-        reps = np.where(is_hot(h), R, 1).astype(np.int64)
-        idx = np.repeat(np.arange(len(h), dtype=np.int64), reps)
-        offs = np.concatenate([[0], np.cumsum(reps)[:-1]])
-        salt = np.arange(int(reps.sum()), dtype=np.int64) - \
-            np.repeat(offs, reps)
-        hh = h[idx]
-        ai = pa.array(idx)
-        out = {"part": pa.array(salted_part(hh, salt)),
-               "side": pa.array(np.ones(len(hh), dtype=np.int64))}
-        for c in keys:
-            out[f"k_{c}"] = pc.cast(pc.take(batch[c], ai), k_type(c))
-        for c in left_cols:
-            out[f"l_{c}"] = pa.nulls(len(hh), type=l_type(c))
-        for c in right_cols:
-            out[f"r_{c}"] = pc.take(batch[c], ai)
-        return pa.table(out)
-
-    merge = _merge_multi_fn(l_schema, r_schema, keys, left_cols,
-                            right_cols, how)
-    unioned = (left.map_batches(tag_left, batch_format="pyarrow")
-               .union(right.map_batches(tag_right,
-                                        batch_format="pyarrow")))
-    return unioned.groupby("part").map_groups(merge,
-                                              batch_format="pyarrow")

@@ -308,6 +308,12 @@ def local_supplier_revenue(lineitem: "ray.data.Dataset",
                 for r in nation.take_all()
                 if int(r["n_regionkey"]) in rkeys}
     nat_keys = np.array(sorted(nat_name), dtype=np.int64)
+    if not nat_keys.size:
+        # no nation in the region: nothing qualifies, and an aggregate
+        # over zero rows would come back without a schema
+        return ray.data.from_arrow(pa.schema([
+            ("n_name", pa.string()), ("n_rows", pa.int64()),
+            ("revenue_e4", pa.int64())]).empty_table())
 
     sup = supplier.take_all()   # SF×10k — the documented broadcast side
     sk = np.array([int(r["s_suppkey"]) for r in sup], dtype=np.int64)

@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pytest
-from hypothesis import HealthCheck, given
+from hypothesis import HealthCheck, example, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
@@ -1405,10 +1405,41 @@ def test_doc_rarity_matches_bruteforce(ray_session):
     assert got == want and want
 
 
+def _assert_empty_join_schemas(l, r, lkey, rkey, hot):
+    """No-match and empty-side inputs keep the typed output schema in
+    every mode, plain and salted: the key column(s), ``lv`` and, for
+    inner/left, ``rv``."""
+    import pyarrow.compute as pc
+    import ray.data
+    from searchengine_ray.pipelines.join import equi_join
+    rk0 = rkey if isinstance(rkey, str) else rkey[0]
+    nomatch = r.set_column(r.schema.get_field_index(rk0), rk0,
+                           pc.add(r[rk0], 10_000))
+    keys = [("key", pa.int64())] if isinstance(lkey, str) else \
+        [(c, l.schema.field(c).type) for c in lkey]
+    for case, lt, rt in (("no match", l, nomatch),
+                         ("empty right", l, r.slice(0, 0)),
+                         ("empty left", l.slice(0, 0), r)):
+        lds, rds = ray.data.from_arrow(lt), ray.data.from_arrow(rt)
+        for how in ("inner", "left", "semi", "anti"):
+            want = keys + [("lv", l.schema.field("lv").type)] + \
+                ([("rv", r.schema.field("rv").type)]
+                 if how in ("inner", "left") else [])
+            for hot_keys in (None, hot):
+                out = equi_join(lds, rds, lkey, rkey, ["lv"], ["rv"],
+                                how=how, hot_keys=hot_keys).materialize()
+                sch = out.schema()
+                assert sch is not None, (case, how)
+                assert [(f.name, f.type) for f in sch.base_schema] == \
+                    want, (case, how, hot_keys is not None)
+                assert out.count() == (
+                    len(lt) if how in ("left", "anti") else 0)
+
+
 def test_equi_join_salted_identical_all_modes(ray_session):
     import ray.data
-    from searchengine_ray.pipelines.join import (detect_hot_keys, equi_join,
-                                                 equi_join_salted)
+    from searchengine_ray.pipelines.join import (_routing_hash,
+                                                 detect_hot_keys, equi_join)
     rng = np.random.default_rng(29)
     # skewed: key 7 carries half the left side; keys 0..19 uniform rest
     lk = np.concatenate([np.full(300, 7), rng.integers(0, 20, size=300)])
@@ -1420,7 +1451,9 @@ def test_equi_join_salted_identical_all_modes(ray_session):
                   "rv": pa.array(rng.standard_normal(60))})
     lds, rds = ray.data.from_arrow(l), ray.data.from_arrow(r)
     hot = detect_hot_keys(lds, "k", threshold=100)
-    assert 7 in set(hot.tolist())
+    # hot sets hold routing hashes; key 7's must be among them
+    hash7 = _routing_hash(pa.table({"k": [7]}), "k").view(np.int64)[0]
+    assert hash7 in set(hot.tolist())
 
     def canon(rows):
         return sorted(tuple(row[c] for c in sorted(row)) for row in rows)
@@ -1428,16 +1461,17 @@ def test_equi_join_salted_identical_all_modes(ray_session):
     for how in ("inner", "left", "semi", "anti"):
         plain = canon(equi_join(lds, rds, "k", "kk", ["lv"], ["rv"],
                                 how=how).take_all())
-        salted = canon(equi_join_salted(
+        salted = canon(equi_join(
             lds, rds, "k", "kk", ["lv"], ["rv"],
             hot_keys=hot, replicate=4, how=how).take_all())
         assert salted == plain and plain, how
     # empty hot set degrades to the plain join
-    nohot = canon(equi_join_salted(
+    nohot = canon(equi_join(
         lds, rds, "k", "kk", ["lv"], ["rv"],
         hot_keys=np.empty(0, dtype=np.int64)).take_all())
     assert nohot == canon(equi_join(lds, rds, "k", "kk",
                                     ["lv"], ["rv"]).take_all())
+    _assert_empty_join_schemas(l, r, "k", "kk", hot)
 
 
 @hyp_settings(max_examples=15, deadline=None,
@@ -1451,12 +1485,16 @@ def test_equi_join_salted_identical_all_modes(ray_session):
                                     st.integers(min_value=0, max_value=5)),
                           st.integers(min_value=0, max_value=99)),
                 min_size=0, max_size=8))
+# an all-NULL right batch once crashed the salted right-side tagging
+@example(lrows=[(3, 99), (None, 49), (3, 33)], rrows=[(None, 1), (None, 2)])
 def test_equi_join_null_keys_property(ray_session, lrows, rrows):
     """Randomized null-ridden inputs: every join mode must agree with a
-    brute-force reference implementing SQL NULL semantics."""
+    brute-force reference implementing SQL NULL semantics — in the
+    column-name key form plain and salted (every key hot), and in the
+    list key form."""
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.join import equi_join
+    from searchengine_ray.pipelines.join import _routing_hash, equi_join
     l = pa.table({"k": pa.array([k for k, _ in lrows], type=pa.int64()),
                   "lv": pa.array([v for _, v in lrows],
                                  type=pa.int64())})
@@ -1465,6 +1503,10 @@ def test_equi_join_null_keys_property(ray_session, lrows, rrows):
                                  type=pa.int64())})
     lds, rds = ray.data.from_arrow(l), ray.data.from_arrow(r)
     rk = [k for k, _ in rrows if k is not None]
+    every_key = _routing_hash(pa.table({"k": np.arange(6)}), "k") \
+        .view(np.int64)
+    forms = (("k", "key", None), ("k", "key", every_key),
+             (["k"], "k", None))
     for how in ("inner", "left", "semi", "anti"):
         want = []
         for k, v in lrows:
@@ -1479,15 +1521,17 @@ def test_equi_join_null_keys_property(ray_session, lrows, rrows):
                 want += [(k, v)] if matches else []
             else:                                  # anti: NOT EXISTS
                 want += [] if matches else [(k, v)]
-        got = []
-        for row in equi_join(lds, rds, "k", "k", ["lv"], ["rv"],
-                             how=how).take_all():
-            t = (row["key"], row["lv"]) + \
-                ((row["rv"],) if "rv" in row else ())
-            got.append(tuple(None if isinstance(x, float) and x != x
-                             else x for x in t))
         skey = (lambda t: tuple((x is None, str(x)) for x in t))
-        assert sorted(got, key=skey) == sorted(want, key=skey), how
+        for key, out_key, hot in forms:
+            got = []
+            for row in equi_join(lds, rds, key, key, ["lv"], ["rv"],
+                                 how=how, hot_keys=hot).take_all():
+                t = (row[out_key], row["lv"]) + \
+                    ((row["rv"],) if "rv" in row else ())
+                got.append(tuple(None if isinstance(x, float) and x != x
+                                 else x for x in t))
+            assert sorted(got, key=skey) == sorted(want, key=skey), \
+                (how, key, hot is not None)
 
 
 def test_equi_join_null_keys_sql_semantics(ray_session):
@@ -1499,10 +1543,8 @@ def test_equi_join_null_keys_sql_semantics(ray_session):
     import duckdb
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.join import (equi_join,
-                                                 equi_join_multi,
-                                                 equi_join_multi_salted,
-                                                 equi_join_salted)
+    from searchengine_ray.pipelines.join import (_routing_hash,
+                                                 detect_hot_keys, equi_join)
     l = pa.table({"k": pa.array([1, None, 2, None, 3], type=pa.int64()),
                   "s": pa.array(["x", "x", None, "y", "x"]),
                   "lv": pa.array(["a", "b", "c", "d", "e"])})
@@ -1543,9 +1585,10 @@ def test_equi_join_null_keys_sql_semantics(ray_session):
         got = canon(equi_join(lds, rds, "k", "k", ["lv"], ["rv"],
                               how=how).take_all())
         assert got == want, ("single", how)
-        got_s = canon(equi_join_salted(
+        got_s = canon(equi_join(
             lds, rds, "k", "k", ["lv"], ["rv"],
-            hot_keys=np.array([3], dtype=np.int64), replicate=2,
+            hot_keys=_routing_hash(pa.table({"k": [3]}), "k")
+            .view(np.int64), replicate=2,
             how=how).take_all())
         assert got_s == want, ("salted", how)
 
@@ -1559,16 +1602,15 @@ def test_equi_join_null_keys_sql_semantics(ray_session):
         "anti": "SELECT k, s, lv FROM l WHERE NOT EXISTS (SELECT 1 "
                 "FROM r WHERE r.k = l.k AND r.s = l.s)",
     }
-    from searchengine_ray.pipelines.join import detect_hot_keys_multi
-    hot = detect_hot_keys_multi(lds, ["k", "s"], threshold=1)
+    hot = detect_hot_keys(lds, ["k", "s"], threshold=1)
     for how, q in sql_multi.items():
         want = canon(con.execute(q).fetch_arrow_table().to_pylist())
-        got = canon(equi_join_multi(lds, rds, ["k", "s"], ["lv"],
-                                    ["rv"], how=how).take_all())
+        got = canon(equi_join(lds, rds, ["k", "s"], ["k", "s"], ["lv"],
+                              ["rv"], how=how).take_all())
         assert got == want, ("multi", how)
-        got_s = canon(equi_join_multi_salted(
-            lds, rds, ["k", "s"], ["lv"], ["rv"],
-            hot_hashes=hot, replicate=2, how=how).take_all())
+        got_s = canon(equi_join(
+            lds, rds, ["k", "s"], ["k", "s"], ["lv"], ["rv"],
+            hot_keys=hot, replicate=2, how=how).take_all())
         assert got_s == want, ("multi_salted", how)
 
 
@@ -1577,9 +1619,7 @@ def test_equi_join_multi_salted_identical_all_modes(ray_session):
     keys spread/replicate across salts, output row-identical to the
     unsalted composite join in all four modes."""
     import ray.data
-    from searchengine_ray.pipelines.join import (detect_hot_keys_multi,
-                                                 equi_join_multi,
-                                                 equi_join_multi_salted)
+    from searchengine_ray.pipelines.join import detect_hot_keys, equi_join
     rng = np.random.default_rng(31)
     # skew: (7, "click") carries half the left side
     n = 600
@@ -1599,25 +1639,30 @@ def test_equi_join_multi_salted_identical_all_modes(ray_session):
                   "t": pa.array(rt),
                   "rv": pa.array(rng.standard_normal(80))})
     lds, rds = ray.data.from_arrow(l), ray.data.from_arrow(r)
-    hot = detect_hot_keys_multi(lds, ["u", "t"], threshold=100)
+    hot = detect_hot_keys(lds, ["u", "t"], threshold=100)
     assert hot.size >= 1
 
     def canon(rows):
         return sorted(tuple(row[c] for c in sorted(row)) for row in rows)
 
     for how in ("inner", "left", "semi", "anti"):
-        plain = canon(equi_join_multi(
-            lds, rds, ["u", "t"], ["lv"], ["rv"], how=how).take_all())
-        salted = canon(equi_join_multi_salted(
-            lds, rds, ["u", "t"], ["lv"], ["rv"],
-            hot_hashes=hot, replicate=4, how=how).take_all())
+        plain = canon(equi_join(
+            lds, rds, ["u", "t"], ["u", "t"], ["lv"], ["rv"],
+            how=how).take_all())
+        salted = canon(equi_join(
+            lds, rds, ["u", "t"], ["u", "t"], ["lv"], ["rv"],
+            hot_keys=hot, replicate=4, how=how).take_all())
         assert salted == plain and plain, how
     # empty hot set degrades to the plain composite join
-    nohot = canon(equi_join_multi_salted(
-        lds, rds, ["u", "t"], ["lv"], ["rv"],
-        hot_hashes=np.empty(0, dtype=np.int64)).take_all())
-    assert nohot == canon(equi_join_multi(
-        lds, rds, ["u", "t"], ["lv"], ["rv"]).take_all())
+    nohot = canon(equi_join(
+        lds, rds, ["u", "t"], ["u", "t"], ["lv"], ["rv"],
+        hot_keys=np.empty(0, dtype=np.int64)).take_all())
+    assert nohot == canon(equi_join(
+        lds, rds, ["u", "t"], ["u", "t"], ["lv"], ["rv"]).take_all())
+    # the right side may name its key columns differently
+    _assert_empty_join_schemas(
+        l, r.rename_columns(["ru", "rt", "rv"]), ["u", "t"], ["ru", "rt"],
+        hot)
 
 
 def test_chunk_docs_matches_bruteforce(ray_session):
@@ -2822,6 +2867,20 @@ def test_local_supplier_revenue_matches_pandas(ray_session):
         tb("region", ["r_regionkey", "r_name"])).take_all()
     got = {r["n_name"]: (r["n_rows"], r["revenue_e4"]) for r in rows}
     assert got == want and got
+    # a region name matching no region: no rows, typed output columns
+    none = local_supplier_revenue(
+        tb("lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
+                        "l_discount"]),
+        tb("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+        tb("customer", ["c_custkey", "c_nationkey"]),
+        tb("supplier", ["s_suppkey", "s_nationkey"]),
+        tb("nation", ["n_nationkey", "n_name", "n_regionkey"]),
+        tb("region", ["r_regionkey", "r_name"]),
+        region_name="NO SUCH REGION").materialize()
+    assert none.count() == 0
+    assert [(f.name, f.type) for f in none.schema().base_schema] == [
+        ("n_name", pa.string()), ("n_rows", pa.int64()),
+        ("revenue_e4", pa.int64())]
 
 
 def test_large_orders_matches_pandas(ray_session):
@@ -3193,7 +3252,7 @@ def _multi_join_brute(lrows, rrows, keys, how):
 def test_equi_join_multi_modes_vs_brute(ray_session, how):
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.join import equi_join_multi
+    from searchengine_ray.pipelines.join import equi_join
     rng = np.random.default_rng(5)
     n_l, n_r = 200, 120
     lrows = [{"a": int(rng.integers(0, 8)),
@@ -3206,10 +3265,10 @@ def test_equi_join_multi_modes_vs_brute(ray_session, how):
                    for c in ("a", "b", "lv")})
     rt = pa.table({c: pa.array([r[c] for r in rrows])
                    for c in ("a", "b", "rv")})
-    got = equi_join_multi(
+    got = equi_join(
         ray.data.from_arrow(lt).repartition(3),
         ray.data.from_arrow(rt).repartition(2),
-        ["a", "b"], ["lv"], ["rv"], how=how).take_all()
+        ["a", "b"], ["a", "b"], ["lv"], ["rv"], how=how).take_all()
     want = _multi_join_brute(lrows, rrows, ["a", "b"], how)
     key = lambda r: (r["a"], r["b"], r.get("lv"),
                      r.get("rv") if r.get("rv") is not None else -1)
