@@ -396,7 +396,11 @@ def _emit(payload: dict, name: str = "bench_timings.json") -> None:
         pass  # read-only checkout: stdout contract still holds
 
 
-def run_cluster(repeats: int = 3) -> dict:
+CLUSTER_INDEX_DIR = "/tmp/seray_cluster_index"
+
+
+def run_cluster(repeats: int = 3, data_dir: str = SCALING_DIR,
+                index_dir: str = CLUSTER_INDEX_DIR) -> dict:
     """--cluster mode (round-4 verdict #7): the one-command measurement
     for the north_rule's N-vs-4N-node criterion when a REAL cluster
     exists. Connects to ``$RAY_ADDRESS`` (refusing 'local' — this mode
@@ -405,7 +409,13 @@ def run_cluster(repeats: int = 3) -> dict:
     run once with the cluster at N nodes, once at 4N, then
     efficiency = throughput_4N / (4 × throughput_N) — the same formula
     --scaling applies to 8-vs-32 CPUs on one box (BASELINE.md §scaling
-    documents the single-box paired-control stand-in)."""
+    documents the single-box paired-control stand-in).
+
+    ``data_dir`` (the corpus) and ``index_dir`` default to driver-local
+    ``/tmp`` paths. On a real cluster both must be shared storage that
+    every node reads and writes at the same path (NFS, a mounted bucket):
+    read tasks on other nodes cannot see the driver's ``/tmp``, and
+    segment writers there would scatter the index across nodes."""
     import ray
     addr = os.environ.get("RAY_ADDRESS", "")
     if not addr or addr == "local":
@@ -420,13 +430,13 @@ def run_cluster(repeats: int = 3) -> dict:
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     nodes = [n for n in ray.nodes() if n.get("Alive")]
     total_cpus = int(ray.cluster_resources().get("CPU", 0))
-    ensure_bench_corpus(SCALING_DOCS, SCALING_DIR)
-    res = min((run_index_build(f"/tmp/seray_cluster_index",
-                               SCALING_DIR, SCALING_DOCS)
+    ensure_bench_corpus(SCALING_DOCS, data_dir)
+    res = min((run_index_build(index_dir, data_dir, SCALING_DOCS)
                for _ in range(repeats)), key=lambda r: r["sec"])
     ray.shutdown()
     return {"nodes": len(nodes), "total_cpus": total_cpus,
-            "address": addr, "index_build": res,
+            "address": addr, "data_dir": data_dir,
+            "index_dir": index_dir, "index_build": res,
             "docs_per_sec": res["docs_per_sec"],
             "procedure": "run at N and 4N nodes; efficiency = "
                          "docs_per_sec_4N / (4 * docs_per_sec_N)"}
@@ -439,11 +449,19 @@ def main() -> None:
     ap.add_argument("--cluster", action="store_true",
                     help="run the headline build against $RAY_ADDRESS "
                          "(real multi-node cluster); see run_cluster")
+    ap.add_argument("--data-dir", default=SCALING_DIR,
+                    help="--cluster: corpus directory (default: driver-"
+                         "local /tmp; on a real cluster, shared storage "
+                         "every node mounts at this path)")
+    ap.add_argument("--index-dir", default=CLUSTER_INDEX_DIR,
+                    help="--cluster: index output directory, deleted and "
+                         "rebuilt on every repeat (same shared-storage "
+                         "requirement as --data-dir)")
     ap.add_argument("--_scale_run", type=int, default=None)
     args = ap.parse_args()
 
     if args.cluster:
-        res = run_cluster()
+        res = run_cluster(data_dir=args.data_dir, index_dir=args.index_dir)
         _emit({
             "metric": "cluster index-build throughput (docs/sec) at the "
                       "current cluster size",

@@ -108,7 +108,9 @@ def prepare_query(query: str, cfg: IndexConfig) -> tuple[list[str], list[str], s
     # which re-stems the already-stemmed expansion (tokenize→stem inside
     # expand_query, stem again at indexer.py:295) and so emits
     # double-stemmed tokens the index can never contain (Porter is not
-    # idempotent: 'decision'→'decis'→'deci').
+    # idempotent: 'decision'→'decis'→'deci'). It also appends a raw phrase
+    # whose stem it already holds, so that stem counts twice
+    # ('generalization'). Both deltas are pinned in tests/test_tokenizer.py.
     stemmer = getattr(cfg, "stemmer", "none")
     wt = getattr(cfg, "tokenizer", "split")
     expanded = expand_query(query)

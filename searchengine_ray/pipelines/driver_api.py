@@ -275,7 +275,7 @@ def q_doc_lengths(sf_dir: str) -> pa.Table:
     eng = QueryEngine(idx, CFG, QCFG)
     # map engine doc_id → original doc_id via the docstore title
     pos = np.searchsorted(eng._doc_ids, eng._len_ids)
-    titles = eng._title.iloc[pos]
+    titles = pd.Series(eng._title[pos])
     # vectorized id recovery (title = f"doc_{doc_id}.txt")
     orig = titles.str[4:-4].astype(np.int64).to_numpy()
     return pa.table({

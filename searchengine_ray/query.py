@@ -39,6 +39,9 @@ from searchengine_ray.functions.tokenizer import (
 from searchengine_ray.stages.postings import salt_of
 from searchengine_ray.state.manifest import load_manifest
 
+# threads of an engine's boost pool (QueryEngine._match)
+_BOOST_WORKERS = min(8, os.cpu_count() or 1)
+
 
 def _paginate(search_fn, query: str, page: int, per_page: int,
               exclude_repos: list[str] | None) -> dict:
@@ -203,24 +206,22 @@ class QueryEngine:
             ids = store["doc_id"].to_numpy(zero_copy_only=False)
             order = np.argsort(ids, kind="stable")
             self._doc_ids = ids[order]
-            df = store.select(["doc_key", "title", "meta",
-                               "snippet"]).to_pandas()
-            df = df.iloc[order].reset_index(drop=True)
-            self._doc_key = df["doc_key"]
-            self._title = df["title"]
-            self._meta = df["meta"]
-            self._snippet = df["snippet"]
-            # Arrow-kernel copies for the boost stage (pc.match_substring
-            # is the hot path — C++ substring scan, no pandas object loop)
             import pyarrow as pa
             import pyarrow.compute as pc
             take = pa.array(order)
-            self._title_lower = pc.utf8_lower(pc.take(
-                store["title"].combine_chunks(), take))
-            self._meta_lower = pc.utf8_lower(pc.take(
-                store["meta"].combine_chunks(), take))
-            self._snippet_lower = pc.utf8_lower(pc.take(
-                store["snippet"].combine_chunks(), take))
+            cols = {c: pc.take(store[c].combine_chunks(), take)
+                    for c in ("doc_key", "title", "meta", "snippet")}
+            # doc_id-ordered object arrays for result formatting: one
+            # vectorized gather per column (_doc_meta)
+            self._doc_key = cols["doc_key"].to_numpy(zero_copy_only=False)
+            self._title = cols["title"].to_numpy(zero_copy_only=False)
+            self._meta = cols["meta"].to_numpy(zero_copy_only=False)
+            self._snippet = cols["snippet"].to_numpy(zero_copy_only=False)
+            # Arrow-kernel copies for the boost stage (pc.match_substring
+            # is the hot path — C++ substring scan, no Python object loop)
+            self._title_lower = pc.utf8_lower(cols["title"])
+            self._meta_lower = pc.utf8_lower(cols["meta"])
+            self._snippet_lower = pc.utf8_lower(cols["snippet"])
 
         self._segments: dict[int, dict[str, int]] = {}
         self._segment_tables: dict[int, object] = {}
@@ -502,25 +503,24 @@ class QueryEngine:
             for c in ("title", "meta", "snippet"))
 
     def _doc_meta(self, ids: np.ndarray) -> list[dict]:
-        """Result-formatting metadata rows aligned to ids."""
+        """Result-formatting metadata rows aligned to ids: one gather per
+        column (resident arrays, or one doc_id-pushdown fetch)."""
         if not self.lazy_docstore:
-            out = []
-            for doc_id in ids:
-                j = int(np.searchsorted(self._doc_ids, doc_id))
-                out.append({"url": self._doc_key.iloc[j],
-                            "title": self._title.iloc[j],
-                            "meta": self._meta.iloc[j],
-                            "snippet": self._snippet.iloc[j]})
-            return out
-        sort_idx = np.argsort(ids, kind="stable")
-        fetched = self._fetch_doc_rows(
-            ids[sort_idx], ["doc_key", "title", "meta", "snippet"])
-        inv = np.empty_like(sort_idx)
-        inv[sort_idx] = np.arange(len(ids))
-        rows = fetched.to_pylist()
-        return [{"url": rows[k]["doc_key"], "title": rows[k]["title"],
-                 "meta": rows[k]["meta"], "snippet": rows[k]["snippet"]}
-                for k in inv]
+            j = np.searchsorted(self._doc_ids, ids)
+            cols = [c[j].tolist() for c in (self._doc_key, self._title,
+                                            self._meta, self._snippet)]
+        else:
+            import pyarrow as pa
+            sort_idx = np.argsort(ids, kind="stable")
+            fetched = self._fetch_doc_rows(
+                ids[sort_idx], ["doc_key", "title", "meta", "snippet"])
+            inv = np.empty_like(sort_idx)
+            inv[sort_idx] = np.arange(len(ids))
+            fetched = fetched.take(pa.array(inv))
+            cols = [fetched[c].to_pylist()
+                    for c in ("doc_key", "title", "meta", "snippet")]
+        return [{"url": u, "title": t, "meta": m, "snippet": s}
+                for u, t, m, s in zip(*cols)]
 
     def _postings_single(self, term: str):
         return self._lookup_in_part(int(hash64(term) % self.num_partitions), term)
@@ -655,7 +655,11 @@ class QueryEngine:
                                      original_query)
         return acc_ids, boosted
 
-    def search(self, query: str, top_k: int | None = None) -> list[dict]:
+    def search(self, query: str, top_k: int | None = None,
+               stats: dict | None = None) -> list[dict]:
+        """BM25 top-k with the reference's metadata boosts. ``stats``
+        (optional dict) receives the boost-phase counters of
+        :meth:`_boost_topk`."""
         top_k = self.qcfg.top_k if top_k is None else top_k
         if top_k <= 0:
             return []
@@ -664,18 +668,16 @@ class QueryEngine:
             return []
         acc_ids, acc_scores, original_tokens, original_query = scored
         return self._finish_search(acc_ids, acc_scores, original_tokens,
-                                   original_query, top_k)
+                                   original_query, top_k, stats)
 
     def _finish_search(self, acc_ids, acc_scores, original_tokens,
-                       original_query, top_k: int) -> list[dict]:
-        """Shared tail of search()/search_wand(): boost (pruned when
-        top_k is small), max-normalize, top-k + min-score, fetch meta."""
-        if top_k <= 1024:
-            acc_ids, scores = self._boost_topk(
-                acc_ids, acc_scores, original_tokens, original_query, top_k)
-        else:
-            scores = self._apply_boosts(acc_ids, acc_scores,
-                                        original_tokens, original_query)
+                       original_query, top_k: int,
+                       stats: dict | None = None) -> list[dict]:
+        """Shared tail of search()/search_wand(): boost what can reach
+        the top-k, max-normalize, top-k + min-score, fetch meta."""
+        acc_ids, scores = self._boost_topk(
+            acc_ids, acc_scores, original_tokens, original_query, top_k,
+            stats)
         max_score = scores.max()
         if max_score > 0:
             scores = scores / max_score
@@ -707,7 +709,8 @@ class QueryEngine:
         boost ceiling ``MAX_BOOST`` (see wand.py module docstring), so
         skipping power appears on skewed tf distributions / long lists;
         worst case degenerates to one full decode. ``stats`` (optional
-        dict) receives blocks_total / blocks_decoded / rounds.
+        dict) receives blocks_total / blocks_decoded / rounds and the
+        boost-phase boost_candidates / boost_snippet_rows.
 
         Range-sharded engines (``doc_range``) already decode only their
         block slice — they delegate to the plain path."""
@@ -715,13 +718,13 @@ class QueryEngine:
         if top_k <= 0:
             return []
         if self.doc_range is not None:
-            return self.search(query, top_k)
+            return self.search(query, top_k, stats)
         got = self._wand_candidates(query, top_k, self.MAX_BOOST, stats)
         if got is None:
             return []
         acc_ids, acc_scores, original_tokens, original_query = got
         return self._finish_search(acc_ids, acc_scores, original_tokens,
-                                   original_query, top_k)
+                                   original_query, top_k, stats)
 
     def search_wand_base(self, query: str, top_k: int | None = None,
                          stats: dict | None = None
@@ -1133,109 +1136,125 @@ class QueryEngine:
             return res, query
         return self.search(fixed, top_k=top_k), fixed
 
-    # Upper bound of the multiplicative metadata boosts (§2.9.7):
-    # phrase 1.8 × title-pct (1+1·2.0) × desc-pct (1+1·1.0) × proximity 1.25
+    # Ceiling of the multiplicative metadata boosts (§2.9.7): phrase 1.8 ×
+    # title-pct (1+1·2.0) × desc-pct (1+1·1.0) × proximity 1.25. Only the
+    # WAND scorer still prunes with it — its block bounds cannot see the
+    # fields; _boost_topk bounds each candidate from its own fields.
     MAX_BOOST = 1.8 * 3.0 * 2.0 * 1.25
 
     def _boost_topk(self, ids: np.ndarray, base: np.ndarray,
                     original_tokens: list[str], original_query: str,
-                    top_k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-k boosting with admissible pruning: process docs in
-        descending base-score order; once the k-th best boosted score
-        exceeds base·MAX_BOOST of every remaining doc, no remaining doc can
-        (a) enter the top-k, (b) pass the normalized min-score filter at a
-        top-k rank, or (c) change the normalization max — so stop. Results
-        are bit-identical to boosting everything (asserted in tests)."""
-        order = np.argsort(base, kind="stable")[::-1]
-        ob = base[order]  # descending
-        out_ids: list[np.ndarray] = []
-        out_scores: list[np.ndarray] = []
-        topk_buf = np.empty(0, dtype=np.float64)  # running top-k scores only
-        n = len(order)
-        # Boosts are ≥ 1, so the k-th boosted score is at least the k-th
-        # base score — a FREE initial bound before any boosting. Each round
-        # processes exactly the prefix the current bound cannot prune, in
-        # one large (thread-parallel) call; steep distributions converge in
-        # small rounds, flat ones take one big round (where per-chunk
-        # overhead would dominate). Capped per round to retain adaptivity.
-        kth = ob[top_k - 1] if n >= top_k else -np.inf
+                    top_k: int, stats: dict | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact top-k boosting that reads a candidate's snippet only
+        while the candidate can still reach the top-k.
+
+        Stage 1 answers the title and meta patterns (short fields) for
+        every candidate and runs ``_boost_math_from`` twice, with every
+        snippet pattern answered true and then false: an upper and a
+        lower bound per candidate. They take the exact multiplication
+        order of the real score and base scores are ≥ 0, so by monotone
+        rounding they bound it in floating point too; where they agree
+        the snippet cannot move the score and the lower bound IS it.
+        Stage 2 scores the rest in descending-upper-bound prefix rounds,
+        scanning only those rows' snippets. The k-th best known score
+        (seeded free by the lower bounds) rises per round; the loop stops
+        at the first upper bound strictly below it, with one ulp of slack
+        down (boosting a doc extra is always admissible) and never on
+        equality (a tie can still win on doc_id). A pruned doc is
+        strictly below the k-th score, so it can neither enter the top-k
+        nor set the normalization max. Returns (ids, exact boosted
+        scores) of the resolved docs, a superset of the top-k: results
+        are bit-identical to boosting everything (asserted in tests).
+        ``stats`` receives boost_candidates and boost_snippet_rows (the
+        candidates whose snippet was gathered or scanned)."""
+        n = len(ids)
+        on = self._boost_fields(ids)
+        every = on()
+
+        def bound(snippet: bool) -> np.ndarray:
+            const = np.full(n, snippet)
+            return self._boost_math_from(
+                base, lambda fi, pat: const if fi == 2 else every(fi, pat),
+                original_tokens, original_query)
+
+        ub = bound(True)
+        score = bound(False)      # exact where it meets ub, else a floor
+        done = ub == score
+        todo = np.flatnonzero(~done)
+        todo = todo[np.argsort(-ub[todo], kind="stable")]
+        neg_ub = -ub[todo]        # ascending
         # geometric round growth: early rounds stay small so a steep
-        # distribution tightens kth before committing to a big scan; flat
-        # ones escalate to large thread-parallel rounds within ~3 steps
+        # distribution tightens the k-th score before a big scan; flat
+        # ones escalate to large rounds within ~3 steps
         round_cap = max(4 * top_k, 8192)
         i = 0
-        while i < n:
-            if ob[i] <= 0 or (np.isfinite(kth)
-                              and ob[i] * self.MAX_BOOST < kth):
-                break  # prunable (or boosted 0 ⇒ below min_score)
-            # prefix the current bound cannot prune: ob ≥ kth/MAX_BOOST
-            # (1-ulp slack down — boosting a doc extra is always admissible,
-            # pruning one on a float boundary is not)
-            if np.isfinite(kth):
-                tau = np.nextafter(kth / self.MAX_BOOST, -np.inf)
-                hi = int(np.searchsorted(-ob, -tau, side="right"))
-                hi = max(hi, i + 1)
-            else:
-                hi = n
-            hi = min(n, hi, i + round_cap)
-            sel = order[i:hi]
-            s = self._apply_boosts(ids[sel], base[sel],
-                                   original_tokens, original_query)
-            out_ids.append(ids[sel])
-            out_scores.append(s)
-            # incremental k-th bound: merge into a top_k-sized buffer
-            merged = np.concatenate([topk_buf, s])
-            if len(merged) > top_k:
-                merged = np.partition(merged, len(merged) - top_k)[-top_k:]
-            topk_buf = merged
+        while i < len(todo):
+            hi = len(todo)
+            if n >= top_k:
+                kth = np.partition(score, n - top_k)[n - top_k]
+                tau = np.nextafter(kth, -np.inf)
+                hi = int(np.searchsorted(neg_ub, -tau, side="right"))
+                if hi <= i:
+                    break
+            hi = min(hi, i + round_cap)
+            rows = todo[i:hi]
+            score[rows] = self._boost_math_from(
+                base[rows], on(rows), original_tokens, original_query)
+            done[rows] = True
             i = hi
             round_cap *= 4
-            if len(topk_buf) >= top_k:
-                kth = max(kth, topk_buf.min())
-        return np.concatenate(out_ids), np.concatenate(out_scores)
+        if stats is not None:
+            stats["boost_candidates"] = n
+            stats["boost_snippet_rows"] = i
+        return ids[done], score[done]
 
-    # Boost chunks above this size are sliced across a thread pool: the
-    # substring kernels (Arrow) and float math (numpy) release the GIL and
-    # every operation is elementwise per doc, so slicing is bit-identical
-    # (asserted in tests). This is the measured p95 driver — not decode:
-    # a flat base-score distribution forces boosting ~all candidates
-    # (semantically: any of them could still boost into the top-k).
+    # Scans of at least this many rows are sliced across a thread pool:
+    # the substring kernel (Arrow) releases the GIL and is elementwise
+    # per doc, so slicing is bit-identical (asserted in tests).
     _BOOST_PARALLEL_MIN = 4096
 
     def close(self) -> None:
-        """Release the lazily created boost thread pool. Safe to call more
-        than once; the engine remains usable (the pool re-creates on the
-        next large boost phase)."""
+        """Stop and join the lazily created boost thread pool. Safe to
+        call more than once; the engine remains usable (the pool
+        re-creates on the next large scan)."""
         pool = getattr(self, "_boost_pool", None)
         if pool is not None:
-            pool.shutdown(wait=False)
+            pool.shutdown(wait=True)
             self._boost_pool = None
 
-    # Token-mask cache (the cold-path multi-pattern lever): the boost
-    # phase is a DRAM-bound substring scan whose patterns repeat heavily
-    # across queries (token vocab) AND across a single query's pruning
-    # chunks. Cumulative per-(field, pattern) scan-row counters decide
-    # when caching pays: once a pattern has scanned ≥ N rows in total, its
-    # FULL-array match mask is computed once (same pc.match_substring
-    # kernel — exact by construction, asserted by the bm25/hybrid oracle
-    # entries and the equality test), stored as a packbits bitmap
-    # (N/8 bytes), and every later boost over that pattern becomes an
-    # O(candidates) bit-gather instead of an O(candidates × bytes) scan.
-    _MASK_CACHE_CAP = 4096         # ≈ N/8 bytes per entry (packbits)
+    def _match(self, arr, pat: str) -> np.ndarray:
+        """``pc.match_substring(arr, pat)`` as a bool array, sliced
+        across the boost pool when it is large and the host has cores."""
+        import pyarrow.compute as pc
 
-    def _needed_boost_patterns(self, original_tokens: list[str],
-                               original_query: str) -> set:
-        k = len(original_tokens)
-        needed = {(0, original_query), (1, original_query),
-                  (2, original_query)}
-        for t in original_tokens:
-            if k == 1 and t == original_query:
-                continue  # _boost_math_from reuses the phrase masks
-            needed.add((0, t))
-            needed.add((1, t))
-            if k > 1:
-                needed.add((2, t))
-        return needed
+        def scan(a) -> np.ndarray:
+            return pc.match_substring(a, pat).to_numpy(zero_copy_only=False)
+
+        nw = min(_BOOST_WORKERS,
+                 len(arr) // (self._BOOST_PARALLEL_MIN // 2))
+        if len(arr) < self._BOOST_PARALLEL_MIN or nw < 2:
+            return scan(arr)
+        if getattr(self, "_boost_pool", None) is None:
+            import concurrent.futures as cf
+            self._boost_pool = cf.ThreadPoolExecutor(
+                max_workers=_BOOST_WORKERS)
+        bounds = np.linspace(0, len(arr), nw + 1).astype(np.int64)
+        return np.concatenate(list(self._boost_pool.map(
+            scan, [arr.slice(s, e - s)
+                   for s, e in zip(bounds[:-1], bounds[1:])])))
+
+    # Token-mask cache (the multi-pattern lever for repeated patterns):
+    # the boost phase is a DRAM-bound substring scan whose patterns repeat
+    # across queries (token vocab). Cumulative per-(field, pattern) counts
+    # of the rows actually scanned decide when caching pays: once a
+    # pattern has scanned ≥ N rows in total, its FULL-array match mask is
+    # computed once (same pc.match_substring kernel — exact by
+    # construction, asserted by the bm25/hybrid oracle entries and the
+    # equality test), stored as a packbits bitmap (N/8 bytes), and every
+    # later lookup of that pattern becomes an O(candidates) bit-gather
+    # instead of an O(candidates × bytes) scan.
+    _MASK_CACHE_CAP = 4096         # ≈ N/8 bytes per entry (packbits)
 
     @staticmethod
     def _gather_bits(packed: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -1267,88 +1286,81 @@ class QueryEngine:
                 self._field_mask_cache.popitem(last=False)
         return packed
 
-    def _apply_boosts(self, ids: np.ndarray, scores: np.ndarray,
-                      original_tokens: list[str], original_query: str) -> np.ndarray:
-        if not self.lazy_docstore and len(self._doc_ids):
-            n = len(self._doc_ids)
-            needed = self._needed_boost_patterns(original_tokens,
-                                                 original_query)
-            all_cached = True
-            for key in needed:
-                with self._mask_lock:
-                    cached = key in self._field_mask_cache
-                    if not cached:
-                        c = self._mask_scan_rows.get(key, 0) + len(ids)
-                        build = c >= n
-                        if build:
-                            self._mask_scan_rows.pop(key, None)
-                        elif (len(self._mask_scan_rows)
-                                < self._postings_cache_cap):
-                            self._mask_scan_rows[key] = c
-                if not cached:
-                    if build:
-                        self._mask_for(key)
+    def _promoted_mask(self, key: tuple, rows: int):
+        """The cached full-array mask for ``key``. On a miss, count the
+        ``rows`` about to be scanned and build the mask once the pattern
+        has scanned ≥ N rows in total; None means: scan the rows."""
+        packed = self._peek_mask(key)
+        if packed is not None:
+            return packed
+        with self._mask_lock:
+            c = self._mask_scan_rows.get(key, 0) + rows
+            build = c >= len(self._doc_ids)
+            if build:
+                self._mask_scan_rows.pop(key, None)
+            elif len(self._mask_scan_rows) < self._postings_cache_cap:
+                self._mask_scan_rows[key] = c
+        return self._mask_for(key) if build else None
+
+    def _boost_fields(self, ids: np.ndarray):
+        """The per-query ``contains`` provider of the boost phase.
+
+        ``on(rows)`` returns ``contains(field_idx, pattern) -> bool[...]``
+        (0=title, 1=meta, 2=snippet) over the candidates ``ids[rows]``
+        (``rows=None``: all of them) for ``_boost_math_from``. Each
+        answer comes from the cheapest exact source: this query's
+        whole-candidate answer (memo), a promoted full-array mask
+        (bit-gather), or a substring scan of just these rows, each field
+        gathered at most once per ``on`` call. The lazy-docstore tier
+        fetches the three fields of all candidates once, on first need."""
+        import pyarrow as pa
+        resident = not self.lazy_docstore
+        pos = np.searchsorted(self._doc_ids, ids) if resident else None
+        fetched: list = []
+        whole: dict = {}
+
+        def on(rows: np.ndarray | None = None):
+            at = pos if rows is None or pos is None else pos[rows]
+            taken: dict = {}
+            memo = whole if rows is None else {}
+
+            def field(fi: int):
+                if fi not in taken:
+                    if resident:
+                        src = (self._title_lower, self._meta_lower,
+                               self._snippet_lower)[fi]
+                        idx = at
                     else:
-                        all_cached = False
-            if all_cached:
-                # fully cached: skip the field gather entirely
-                pos = np.searchsorted(self._doc_ids, ids)
+                        if not fetched:
+                            fetched.extend(self._doc_fields_lower(ids))
+                        src, idx = fetched[fi], rows
+                    taken[fi] = (src if idx is None
+                                 else src.take(pa.array(idx)))
+                return taken[fi]
 
-                def contains(fi: int, pat: str) -> np.ndarray:
-                    # _mask_for rebuilds if a concurrent insert evicted
-                    # this key between the check above and here
-                    return self._gather_bits(self._mask_for((fi, pat)),
-                                             pos)
+            def contains(fi: int, pat: str) -> np.ndarray:
+                key = (fi, pat)
+                if rows is not None and key in whole:
+                    return whole[key][rows]
+                if key not in memo:
+                    packed = (self._promoted_mask(key, len(at))
+                              if resident else None)
+                    memo[key] = (self._gather_bits(packed, at)
+                                 if packed is not None
+                                 else self._match(field(fi), pat))
+                return memo[key]
 
-                return self._boost_math_from(scores, contains,
-                                             original_tokens,
-                                             original_query)
-            # partially cached: the slice path below mixes per-pattern —
-            # cached patterns gather, the rest scan the gathered slices
-            pos = np.searchsorted(self._doc_ids, ids)
-        else:
-            pos = None
-        title, desc, snip = self._doc_fields_lower(ids)
-        if len(ids) >= self._BOOST_PARALLEL_MIN:
-            import concurrent.futures as cf
-            if getattr(self, "_boost_pool", None) is None:
-                self._boost_pool_workers = min(8, os.cpu_count() or 1)
-                self._boost_pool = cf.ThreadPoolExecutor(
-                    max_workers=self._boost_pool_workers)
-            nw = min(self._boost_pool_workers,
-                     max(1, len(ids) // (self._BOOST_PARALLEL_MIN // 2)))
-            bounds = np.linspace(0, len(ids), nw + 1).astype(np.int64)
-            futs = [self._boost_pool.submit(
-                        self._boost_math, scores[s:e],
-                        title.slice(s, e - s), desc.slice(s, e - s),
-                        snip.slice(s, e - s), original_tokens,
-                        original_query,
-                        pos[s:e] if pos is not None else None)
-                    for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-            return np.concatenate([f.result() for f in futs])
-        return self._boost_math(scores, title, desc, snip, original_tokens,
-                                original_query, pos)
+            return contains
 
-    def _boost_math(self, scores: np.ndarray, title, desc, snip,
-                    original_tokens: list[str], original_query: str,
-                    pos: np.ndarray | None = None) -> np.ndarray:
-        """Per-candidate-slice variant: contains(field, pat) serves cached
-        full-array masks by bit-gather (when ``pos`` maps this slice into
-        the resident arrays) and runs the substring kernel over the
-        gathered candidate arrays otherwise."""
-        import pyarrow.compute as pc
-        arrs = (title, desc, snip)
+        return on
 
-        def contains(fi: int, pat: str) -> np.ndarray:
-            if pos is not None:
-                packed = self._peek_mask((fi, pat))
-                if packed is not None:
-                    return self._gather_bits(packed, pos)
-            return pc.match_substring(arrs[fi], pat).to_numpy(
-                zero_copy_only=False)
-
-        return self._boost_math_from(scores, contains, original_tokens,
-                                     original_query)
+    def _apply_boosts(self, ids: np.ndarray, scores: np.ndarray,
+                      original_tokens: list[str], original_query: str
+                      ) -> np.ndarray:
+        """Exact boosted scores of EVERY candidate — the unpruned boost
+        phase (search_raw; range shards merge before any top-k)."""
+        return self._boost_math_from(scores, self._boost_fields(ids)(),
+                                     original_tokens, original_query)
 
     def _boost_math_from(self, scores: np.ndarray, contains,
                          original_tokens: list[str],
@@ -1645,24 +1657,14 @@ class FederatedQueryEngine(QueryEngine):
         self._len_ids = self._len_ids[order]
         self._len_vals = self._len_vals[order]
 
-        import pandas as pd
         import pyarrow as pa
         import pyarrow.compute as pc
         ids = np.concatenate([e._doc_ids for e in engines])
         order = np.argsort(ids, kind="stable")
         self._doc_ids = ids[order]
-        self._doc_key = pd.concat([e._doc_key for e in engines],
-                                  ignore_index=True).iloc[order] \
-            .reset_index(drop=True)
-        self._title = pd.concat([e._title for e in engines],
-                                ignore_index=True).iloc[order] \
-            .reset_index(drop=True)
-        self._meta = pd.concat([e._meta for e in engines],
-                               ignore_index=True).iloc[order] \
-            .reset_index(drop=True)
-        self._snippet = pd.concat([e._snippet for e in engines],
-                                  ignore_index=True).iloc[order] \
-            .reset_index(drop=True)
+        for attr in ("_doc_key", "_title", "_meta", "_snippet"):
+            setattr(self, attr, np.concatenate(
+                [getattr(e, attr) for e in engines])[order])
         take = pa.array(order)
         for attr in ("_title_lower", "_meta_lower", "_snippet_lower"):
             combined = pa.concat_arrays(

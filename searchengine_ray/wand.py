@@ -11,10 +11,14 @@ scores (asserted in tests) — under the engine's full semantics:
   boost ceiling: a doc is prunable only when
   ``upper_bound(base) · MAX_BOOST < θ`` with θ = the k-th best fully
   accumulated EXACT base score (boost ≥ 1 ⇒ θ lower-bounds the k-th
-  boosted score; max-normalization and the min-score filter ride the
-  same argument as ``QueryEngine._boost_topk``). The ceiling costs
-  pruning power — documented, not hidden: WAND here shines on skewed
-  tf distributions and long lists, not on flat toy corpora.
+  boosted score; a doc strictly below the k-th boosted score can
+  neither enter the top-k nor set the normalization max, the argument
+  ``QueryEngine._boost_topk`` also prunes by). Block bounds cannot see
+  the doc fields, so they keep the global ceiling, while
+  ``_boost_topk`` bounds each surviving candidate from its own title
+  and meta. The ceiling costs pruning power — documented, not hidden:
+  WAND here shines on skewed tf distributions and long lists, not on
+  flat toy corpora.
 - **Bit-exact accumulation**: survivors' scores are NOT taken from the
   incremental bound bookkeeping; the decoded fragments are re-fed
   through the same per-occurrence ``np.unique`` + ``np.add.at``

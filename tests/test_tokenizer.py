@@ -9,6 +9,7 @@ driver-style comparison).
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,39 @@ def test_prepare_query_empty_and_stopword_only():
 def test_prepare_query_duplicate_terms_kept():
     filtered, _, _ = prepare_query("foo foo", CFG)
     assert filtered == ["foo", "foo"]
+
+
+def _reference_nltk_branch(query: str, cfg: IndexConfig) -> list[str]:
+    """The reference's NLTK-branch query prep: expand_query tokenizes AND
+    stems, appends the raw lowercased phrases it does not already hold,
+    and the indexer stems that expansion again."""
+    stem = cfg.stemmer
+    tokens = tokenize(query, stem)
+    expanded = tokens + [p for p in query.lower().strip().split()
+                         if p not in tokens and len(p) > 1]
+    return filter_tokens(tokenize(" ".join(expanded), stem), cfg)
+
+
+@pytest.mark.parametrize("query,engine,reference", [
+    # Porter is not idempotent: the reference re-stems 'decis' to
+    # 'deci', a term no stemmed index contains
+    ("decision", ["decis"], ["deci", "decis"]),
+    ("parse token stream", ["pars", "token", "stream"],
+     ["par", "token", "stream", "pars"]),
+    # the raw phrase differs from its stem, so the reference appends it
+    # and its stem counts twice
+    ("generalization", ["gener"], ["gener", "gener"]),
+    # stems that are fixed points give the same term set
+    ("hashMap codec", ["hash", "map", "codec", "hashmap"],
+     ["hash", "map", "codec", "hashmap"]),
+])
+def test_prepare_query_stems_once_unlike_reference_nltk_branch(
+        query, engine, reference):
+    """Pins the documented deviation of prepare_query (functions/
+    tokenizer.py): the engine stems each query token exactly once."""
+    cfg = IndexConfig(stemmer="porter")
+    assert prepare_query(query, cfg)[0] == engine
+    assert _reference_nltk_branch(query, cfg) == reference
 
 
 def test_make_snippet():
