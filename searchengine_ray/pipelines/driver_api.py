@@ -1906,20 +1906,21 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
             _events(sf, ["ts", "event_type", "value"])),
         "events_sessionize": lambda sf: events.sessionize(
             _events(sf, ["user_id", "ts"])),
-        "events_sessionize_salted": lambda sf: events.sessionize_salted(
-            _events(sf, ["user_id", "ts"])),
+        "events_sessionize_salted": lambda sf: events.sessionize(
+            _events(sf, ["user_id", "ts"]), shard_us=events.DAY_US),
         "events_streaming_window": lambda sf: events.streaming_windowed_agg(
             _events(sf, ["event_id", "event_type", "ts", "value"])),
         # skew-safe twin: small shards so the boundary-merge path is what
         # the driver actually checks
         "events_streaming_window_salted":
-            lambda sf: events.streaming_windowed_agg_salted(
+            lambda sf: events.streaming_windowed_agg(
                 _events(sf, ["event_id", "event_type", "ts", "value"]),
                 shard_events=2048),
         "events_asof_join": lambda sf: events.asof_join_prior(
             _events(sf, ["event_id", "user_id", "ts", "event_type"])),
-        "events_asof_join_salted": lambda sf: events.asof_join_prior_salted(
-            _events(sf, ["event_id", "user_id", "ts", "event_type"])),
+        "events_asof_join_salted": lambda sf: events.asof_join_prior(
+            _events(sf, ["event_id", "user_id", "ts", "event_type"]),
+            shard_us=events.DAY_US),
         "events_range_join": lambda sf: events.value_range_join(
             _events(sf, ["event_id", "value"])),
         "events_props_extract": lambda sf: events.props_extract(
@@ -1947,13 +1948,13 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
         # continuous-domain twin: range-bucketed distributed rank table,
         # driver sees only bucket totals — same oracle, same output
         "events_global_rank_ranged":
-            lambda sf: events.global_value_rank_ranged(
-                _events(sf, ["event_id", "value"])),
+            lambda sf: events.global_value_rank(
+                _events(sf, ["event_id", "value"]), num_buckets=32),
         "events_percent_rank": lambda sf: events.global_percent_rank(
             _events(sf, ["event_id", "value"])),
         "events_percent_rank_ranged":
-            lambda sf: events.global_percent_rank_ranged(
-                _events(sf, ["event_id", "value"])),
+            lambda sf: events.global_percent_rank(
+                _events(sf, ["event_id", "value"]), num_buckets=32),
         "events_value_zscore": lambda sf: events.value_zscore(
             _events(sf, ["event_id", "event_type", "value"])),
         "weighted_sample": lambda sf: analysis.weighted_sample(_docs(sf)),
@@ -2157,7 +2158,11 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
     for name, (text, mode, excl) in BOOLEAN_QUERIES.items():
         q[name] = (lambda sf, _t=text, _m=mode, _e=excl:
                    q_boolean(sf, _t, _m, _e))
-    return q
+    # lead with one entry per plan family (serving, WAND, join, TPC-H,
+    # quantile), so a gate that samples only a prefix still covers each
+    lead = ["bm25_en", "hybrid_en", "bm25_en_wand", "doc_embedding_join",
+            "tpch_q1_pricing", "events_value_quantiles"]
+    return {**{name: q[name] for name in lead}, **q}
 
 
 def build_oracles() -> dict[str, str]:

@@ -4,17 +4,21 @@ sessionized custom-operator family.
 The reference has NO streaming features (SURVEY.md §2.11) — its only
 incremental loop is the crawler BFS frontier. These operators are the
 engine's extension for event-log inputs, built as Ray-Data compositions
-(map_batches + groupby().map_groups) with the partitioning assumption
-documented per operator:
+(map_batches + one hash shuffle per stage). Every user-keyed shuffle is
+``common.grouped_aggregate``: coarse hash partitions, and inside each one
+a single vectorized pass over all its users.
 
-  windowed_agg   tumbling time window × event_type aggregate — partial
-                 aggregation inside each batch (map_batches), tiny final
-                 groupby over (window, type) partials
-  sessionize     gap-based session windows per user — ONE shuffle keyed by
-                 user_id (assumes a user's events fit in a worker; the
-                 10^12-row path salts by (user_id, day) and merges
-                 cross-day sessions in a second pass)
-  props_extract  JSON-ish scalar extraction via RE2 (pc.extract_regex)
+One operator per semantic. Where a user's (or a type's) whole history
+may not fit in a worker, the operator takes an optional shard parameter;
+``None`` is the one-shuffle plan, a value adds a time- or arrival-shard to
+the wide shuffle key plus a second, tiny merge shuffle over per-shard
+partials. Both plans run the same kernels and give identical output:
+
+  sessionize              ``shard_us``      run-coalescing kernel
+  streaming_windowed_agg  ``shard_events``  local lateness + carry-in
+  asof_join_prior         ``shard_us``      latest prior right per run
+  global_value_rank /     ``num_buckets``   broadcast histogram ranks, or
+  global_percent_rank                       a range-bucketed rank table
 
 Monetary-style doubles are exchanged as scaled integers
 (round(value·100) — exact, order-insensitive sums) so results hash-match
@@ -28,6 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from searchengine_ray.pipelines.common import grouped_aggregate
 
 WINDOW_US = 3_600_000_000  # 1 hour in microseconds
 
@@ -57,8 +63,6 @@ def windowed_agg(ds: "ray.data.Dataset") -> "ray.data.Dataset":
                  .rename_columns(["window_start_us", "event_type",
                                   "n", "v"]))
 
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def reduce_part(part: pa.Table) -> pa.Table:
         g = (part.group_by(["window_start_us", "event_type"],
                            use_threads=False)
@@ -85,181 +89,98 @@ FROM events GROUP BY 1, 2
 """
 
 
-NUM_EVENT_PARTITIONS = 64
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+def _i64(col) -> np.ndarray:
+    return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
 
 
-def _user_part(uid: np.ndarray, num_parts: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return ((uid.astype(np.uint64) * _MIX)
-                % np.uint64(num_parts)).astype(np.int32)
+def _cents(col) -> np.ndarray:
+    """round(value·100) as int64 — the exact scaled-integer value."""
+    return np.round(col.to_numpy(zero_copy_only=False)
+                    * 100.0).astype(np.int64)
 
 
-def _sessionize_runs(uid: np.ndarray, ts: np.ndarray, gap_us: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-    """Vectorized multi-user sessionization over (uid, ts) sorted by
-    (uid, ts): returns (user, start, end, n) per session."""
-    if uid.size == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z, z, z
-    new_sess = np.empty(uid.size, dtype=bool)
-    new_sess[0] = True
-    new_sess[1:] = (uid[1:] != uid[:-1]) | (np.diff(ts) > gap_us)
-    sid = np.cumsum(new_sess) - 1
-    k = int(sid[-1]) + 1
-    starts = ts[new_sess]
-    users = uid[new_sess]
-    ends = np.zeros(k, dtype=np.int64)
-    np.maximum.at(ends, sid, ts)
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(counts, sid, 1)
-    return users, starts, ends, counts
+def _run_heads(*keys: np.ndarray) -> np.ndarray:
+    """Rows sorted by ``keys``: True where a row opens a new run of equal
+    keys."""
+    head = np.zeros(len(keys[0]), dtype=bool)
+    head[:1] = True
+    for k in keys:
+        head[1:] |= k[1:] != k[:-1]
+    return head
 
 
-def sessionize(ds: "ray.data.Dataset",
-               gap_us: int = 1_800_000_000) -> "ray.data.Dataset":
+def _run_starts(head: np.ndarray) -> np.ndarray:
+    """Index of each row's run head."""
+    return np.maximum.accumulate(np.where(head, np.arange(len(head)), 0))
+
+
+def _coalesce_sessions(t: pa.Table, keys: list[str], gap_us: int,
+                       final: bool) -> pa.Table:
+    """The one run-coalescing kernel of :func:`sessionize`. Rows are
+    (user_id[, shard], start_us, end_us, n) sorted by (keys, start_us); a
+    row joins the previous row's session when the keys match and its
+    start lies within ``gap_us`` of that row's end. An event is a
+    one-event session (start = end = ts); per-shard partial sessions are
+    time-disjoint, so the previous row's end is the session's end so
+    far. Returns the coalesced partials, or with ``final`` the output
+    columns."""
+    k = [t[c].to_numpy(zero_copy_only=False) for c in keys]
+    start = t["start_us"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((start, *k[::-1]))
+    k = [a[order] for a in k]
+    start = start[order]
+    end = t["end_us"].to_numpy(zero_copy_only=False)[order]
+    head = _run_heads(*k)
+    head[1:] |= start[1:] - end[:-1] > gap_us
+    at = np.flatnonzero(head)
+    end = np.maximum.reduceat(end, at)
+    n = np.add.reduceat(t["n"].to_numpy(zero_copy_only=False)[order], at)
+    start = start[at]
+    if final:
+        return pa.table({"user_id": k[0][at], "session_start_us": start,
+                         "n_events": n, "duration_us": end - start})
+    return pa.table({"user_id": k[0][at], "start_us": start, "end_us": end,
+                     "n": n})
+
+
+def sessionize(ds: "ray.data.Dataset", gap_us: int = 1_800_000_000,
+               shard_us: int | None = None) -> "ray.data.Dataset":
     """Gap-based sessions per user (new session when the gap to the
     previous event exceeds ``gap_us``; default 30 min).
 
     Columns: user_id, session_start_us, n_events, duration_us (all int64).
-    ONE shuffle over COARSE hash(user) partitions (not one Ray group per
-    user — a per-user map_groups is a Python call per user; measured 4×
-    slower); inside a partition all users sessionize in one lexsort +
-    diff/cumsum pass. A user's events land in exactly one partition, so
-    results are identical to per-user grouping.
+
+    ``shard_us=None``: ONE ``grouped_aggregate`` shuffle keyed by user;
+    inside a coarse partition all users sessionize in one lexsort +
+    break-mask + reduceat pass (a per-user map_groups is a Python call per
+    user; measured 4× slower). A user's events land in one partition, so
+    this assumes a user's history fits in a worker.
+
+    ``shard_us`` set (skew-safe, the 10^12-row path): the wide shuffle is
+    keyed by (user, ts // shard_us), so no unit of work exceeds a
+    user-shard of events; the same kernel emits per-shard partial
+    sessions, and a SECOND, tiny user-keyed shuffle over those partials
+    (never events) re-runs it to merge sessions that span shard
+    boundaries. Output is identical for every shard size (tested).
     """
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.table({
-            "part": pa.array(_user_part(uid, NUM_EVENT_PARTITIONS)),
-            "user_id": pa.array(uid),
-            "ts": batch["ts"],
-        })
+    keys = ["user_id"] if shard_us is None else ["user_id", "shard"]
 
-    def per_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        ts = pc.cast(group["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        order = np.lexsort((ts, uid))
-        users, starts, ends, counts = _sessionize_runs(
-            uid[order], ts[order], gap_us)
-        return pa.table({
-            "user_id": pa.array(users),
-            "session_start_us": pa.array(starts),
-            "n_events": pa.array(counts),
-            "duration_us": pa.array(ends - starts),
-        })
+    def events(batch: pa.Table) -> pa.Table:
+        ts = _i64(batch["ts"])
+        cols = {"user_id": _i64(batch["user_id"]), "start_us": ts,
+                "end_us": ts, "n": np.ones(len(ts), dtype=np.int64)}
+        if shard_us is not None:
+            cols["shard"] = ts // shard_us
+        return pa.table(cols)
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-              .groupby("part").map_groups(per_part, batch_format="pyarrow"))
-
-
-def sessionize_salted(ds: "ray.data.Dataset",
-                      gap_us: int = 1_800_000_000,
-                      shard_us: int = 86_400_000_000) -> "ray.data.Dataset":
-    """Skew-safe sessionization — the 10^12-row path for ``sessionize``.
-
-    Plain sessionize co-locates a user's ENTIRE history, so one
-    pathologically active user lands on one worker. Here the wide shuffle
-    is keyed by (user_id, time-shard) — default 1-day shards, so no unit
-    of work exceeds a user-day of events — producing per-shard partial
-    sessions; a SECOND, tiny shuffle (per-user session summaries, not
-    events) merges sessions that span shard boundaries (boundary sessions
-    closer than ``gap_us`` coalesce). Both shuffles route through COARSE
-    hash partitions and process all their (user, shard) runs in one
-    lexsort + diff/cumsum pass — no Python call per group (measured 4×).
-    Output is IDENTICAL to sessionize() — asserted in tests.
-    """
-    def add_shard(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        shard = ts // shard_us
-        # coarse partition key over (user, shard): bounded groups without
-        # a Python map_groups call per (user, day)
-        with np.errstate(over="ignore"):
-            key = (uid.astype(np.uint64) * _MIX
-                   + shard.astype(np.uint64)) * _MIX
-        return pa.table({
-            "part": pa.array((key % np.uint64(NUM_EVENT_PARTITIONS))
-                             .astype(np.int32)),
-            "user_id": pa.array(uid),
-            "ts": pa.array(ts),
-            "shard": pa.array(shard),
-        })
-
-    def per_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        shard = group["shard"].to_numpy(zero_copy_only=False)
-        # one vectorized pass over ALL (user, shard) runs in the partition
-        order = np.lexsort((ts, shard, uid))
-        uid, ts, shard = uid[order], ts[order], shard[order]
-        if uid.size == 0:
-            z = pa.array([], type=pa.int64())
-            return pa.table({"user_id": z, "start_us": z, "end_us": z,
-                             "n": z})
-        new_sess = np.empty(uid.size, dtype=bool)
-        new_sess[0] = True
-        new_sess[1:] = ((uid[1:] != uid[:-1]) | (shard[1:] != shard[:-1])
-                        | (np.diff(ts) > gap_us))
-        sid = np.cumsum(new_sess) - 1
-        k = int(sid[-1]) + 1
-        ends = np.zeros(k, dtype=np.int64)
-        np.maximum.at(ends, sid, ts)
-        counts = np.zeros(k, dtype=np.int64)
-        np.add.at(counts, sid, 1)
-        return pa.table({
-            "user_id": pa.array(uid[new_sess]),
-            "start_us": pa.array(ts[new_sess]),
-            "end_us": pa.array(ends),
-            "n": pa.array(counts),
-        })
-
-    partials = (ds.map_batches(add_shard, batch_format="pyarrow")
-                  .groupby("part")
-                  .map_groups(per_part, batch_format="pyarrow"))
-
-    def add_user_part(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "upart", pa.array(_user_part(uid, NUM_EVENT_PARTITIONS)))
-
-    def merge_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        starts = group["start_us"].to_numpy(zero_copy_only=False)
-        ends = group["end_us"].to_numpy(zero_copy_only=False)
-        ns = group["n"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((starts, uid))
-        uid, starts, ends, ns = (uid[order], starts[order], ends[order],
-                                 ns[order])
-        if uid.size == 0:
-            z = pa.array([], type=pa.int64())
-            return pa.table({"user_id": z, "session_start_us": z,
-                             "n_events": z, "duration_us": z})
-        # coalesce consecutive partials of the SAME user whose boundary
-        # gap ≤ gap_us (partials from different shards are time-disjoint)
-        new_sess = np.empty(uid.size, dtype=bool)
-        new_sess[0] = True
-        new_sess[1:] = ((uid[1:] != uid[:-1])
-                        | (starts[1:] - ends[:-1] > gap_us))
-        sid = np.cumsum(new_sess) - 1
-        k = int(sid[-1]) + 1
-        out_end = np.zeros(k, dtype=np.int64)
-        np.maximum.at(out_end, sid, ends)
-        out_n = np.zeros(k, dtype=np.int64)
-        np.add.at(out_n, sid, ns)
-        return pa.table({
-            "user_id": pa.array(uid[new_sess]),
-            "session_start_us": pa.array(starts[new_sess]),
-            "n_events": pa.array(out_n),
-            "duration_us": pa.array(out_end - starts[new_sess]),
-        })
-
-    return (partials.map_batches(add_user_part, batch_format="pyarrow")
-                    .groupby("upart")
-                    .map_groups(merge_part, batch_format="pyarrow"))
+    runs = grouped_aggregate(
+        ds.map_batches(events, batch_format="pyarrow"), keys,
+        lambda p: _coalesce_sessions(p, keys, gap_us, shard_us is None))
+    if shard_us is None:
+        return runs
+    return grouped_aggregate(
+        runs, ["user_id"],
+        lambda p: _coalesce_sessions(p, ["user_id"], gap_us, True))
 
 
 def sql_sessionize(gap_us: int = 1_800_000_000) -> str:
@@ -287,7 +208,9 @@ FROM s GROUP BY user_id, sess
 
 def streaming_windowed_agg(ds: "ray.data.Dataset",
                            lateness_us: int = 60_000_000,
-                           window_us: int = WINDOW_US) -> "ray.data.Dataset":
+                           window_us: int = WINDOW_US,
+                           shard_events: int | None = None
+                           ) -> "ray.data.Dataset":
     """Tumbling windows under STREAMING semantics with a watermark and an
     allowed-lateness policy — the streaming-window custom operator (the
     reference has no streaming features at all, SURVEY.md §2.11).
@@ -302,150 +225,93 @@ def streaming_windowed_agg(ds: "ray.data.Dataset",
     is oracle-checked.
 
     Columns: window_start_us, event_type, is_late (int64 0/1), n_events,
-    sum_value_c. Partitioning: one shuffle keyed by event_type (the
-    watermark's scope); within a partition the sweep is a vectorized
-    running max in arrival order.
+    sum_value_c.
+
+    The watermark at an event decomposes over contiguous arrival shards
+    as max(carry_in, local running max), carry_in being the max ts of all
+    earlier shards. So an event is late iff it is late under its shard's
+    local running max, OR carry_in ≥ win_end + lateness. One kernel
+    applies the local policy per shard and emits (window, late) partials
+    with the shard's max ts; one finisher flips partials by carry_in.
+
+    ``shard_events=None``: one shard per event_type — ONE shuffle keyed
+    by type, both kernels run in the same group call (carry_in =
+    int64.min). ``shard_events`` set (skew-safe, the 10^12-row path): the
+    wide shuffle keys on (event_type, event_id // shard_events) — type is
+    a low-cardinality, skewed key — and a SECOND, tiny type-keyed shuffle
+    over the partials (never events) runs the finisher. Output is
+    identical for every shard size (tested).
     """
-    def per_type(group: pa.Table) -> pa.Table:
-        etype = group["event_type"][0].as_py()
-        order = np.argsort(pc.cast(group["event_id"], pa.int64())
-                           .to_numpy(zero_copy_only=False), kind="stable")
-        ts = pc.cast(group["ts"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)[order]
-        val_c = np.round(group["value"].to_numpy(zero_copy_only=False)[order]
-                         * 100.0).astype(np.int64)
+    lo = np.iinfo(np.int64).min
+
+    def local(group: pa.Table) -> pa.Table:
+        order = np.argsort(_i64(group["event_id"]), kind="stable")
+        ts = _i64(group["ts"])[order]
         win = (ts // window_us) * window_us
-        running_max = np.maximum.accumulate(ts)
-        late = (win + window_us) <= (running_max - lateness_us)
-        t = pa.table({
-            "window_start_us": pa.array(win),
-            "is_late": pa.array(late.astype(np.int64)),
-            "n": pa.array(np.ones(len(ts), dtype=np.int64)),
-            "v": pa.array(np.where(late, 0, val_c)),
-        })
-        g = (t.group_by(["window_start_us", "is_late"], use_threads=False)
-             .aggregate([("n", "sum"), ("v", "sum")]))
-        return pa.table({
-            "window_start_us": pc.cast(g["window_start_us"], pa.int64()),
-            "event_type": pa.array([etype] * len(g), type=pa.string()),
-            "is_late": pc.cast(g["is_late"], pa.int64()),
-            "n_events": pc.cast(g["n_sum"], pa.int64()),
-            "sum_value_c": pc.cast(g["v_sum"], pa.int64()),
-        })
-
-    return ds.groupby("event_type").map_groups(per_type,
-                                               batch_format="pyarrow")
-
-
-def streaming_windowed_agg_salted(ds: "ray.data.Dataset",
-                                  lateness_us: int = 60_000_000,
-                                  window_us: int = WINDOW_US,
-                                  shard_events: int = 65536) -> "ray.data.Dataset":
-    """Skew-safe twin of ``streaming_windowed_agg`` — the 10^12-row path.
-
-    The plain operator keys its shuffle by event_type alone: a
-    low-cardinality, inherently skewed key (one worker receives an entire
-    type's full history). Here the wide shuffle is keyed by (event_type,
-    arrival-shard) — contiguous ``shard_events``-sized event_id ranges, so
-    no group exceeds a bounded slice of the stream — and a SECOND, tiny
-    shuffle over per-shard PARTIALS (≤ windows×2 rows per shard, never
-    events) finalizes lateness across shard boundaries.
-
-    Why this is exact: the watermark at an event is the running max
-    event-time over all earlier arrivals, which decomposes over arrival
-    shards as max(carry_in, local_running_max) where carry_in is the max
-    ts of all PREVIOUS shards. An event is late iff
-    win_end ≤ watermark − lateness, i.e. iff it is late under its shard's
-    local running max alone, OR carry_in ≥ win_end + lateness — a per-
-    (window, shard) threshold the merge pass evaluates from shard-summary
-    maxima. Output is IDENTICAL to streaming_windowed_agg (asserted in
-    tests; same driver oracle).
-    """
-    def add_shard(batch: pa.Table) -> pa.Table:
-        eid = pc.cast(batch["event_id"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": pc.cast(batch["event_type"], pa.string()),
-            "event_id": pa.array(eid),
-            "ts": batch["ts"],
-            "value": batch["value"],
-            "shard": pa.array(eid // shard_events),
-        })
-
-    def per_shard(group: pa.Table) -> pa.Table:
-        etype = group["event_type"][0].as_py()
-        shard = int(group["shard"][0].as_py())
-        order = np.argsort(pc.cast(group["event_id"], pa.int64())
-                           .to_numpy(zero_copy_only=False), kind="stable")
-        ts = pc.cast(group["ts"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)[order]
-        val_c = np.round(group["value"].to_numpy(zero_copy_only=False)[order]
-                         * 100.0).astype(np.int64)
-        win = (ts // window_us) * window_us
-        lmax = np.maximum.accumulate(ts)
-        late_local = (win + window_us) <= (lmax - lateness_us)
-        t = pa.table({
-            "window_start_us": pa.array(win),
-            "late_local": pa.array(late_local.astype(np.int64)),
-            "n": pa.array(np.ones(len(ts), dtype=np.int64)),
-            "v": pa.array(np.where(late_local, 0, val_c)),
-        })
-        g = (t.group_by(["window_start_us", "late_local"], use_threads=False)
-             .aggregate([("n", "sum"), ("v", "sum")]))
+        late = (win + window_us) <= (np.maximum.accumulate(ts) - lateness_us)
+        g = (pa.table({
+            "window_start_us": win,
+            "is_late": late.astype(np.int64),
+            "n": np.ones(len(ts), dtype=np.int64),
+            "v": np.where(late, 0, _cents(group["value"])[order]),
+        }).group_by(["window_start_us", "is_late"], use_threads=False)
+          .aggregate([("n", "sum"), ("v", "sum")]))
+        shard = group["shard"][0].as_py() if shard_events is not None else 0
         k = len(g)
         return pa.table({
-            "event_type": pa.array([etype] * k, type=pa.string()),
-            "shard": pa.array(np.full(k, shard, dtype=np.int64)),
-            "shard_max_ts": pa.array(np.full(k, int(ts.max()),
-                                             dtype=np.int64)),
-            "window_start_us": pc.cast(g["window_start_us"], pa.int64()),
-            "late_local": pc.cast(g["late_local"], pa.int64()),
-            "n": pc.cast(g["n_sum"], pa.int64()),
-            "v": pc.cast(g["v_sum"], pa.int64()),
+            "event_type": pa.array([group["event_type"][0].as_py()] * k,
+                                   type=pa.string()),
+            "shard": np.full(k, shard, dtype=np.int64),
+            "shard_max_ts": np.full(k, ts.max(), dtype=np.int64),
+            "window_start_us": g["window_start_us"],
+            "is_late": g["is_late"],
+            "n_events": g["n_sum"],
+            "sum_value_c": g["v_sum"],
         })
 
-    partials = (ds.map_batches(add_shard, batch_format="pyarrow")
-                  .groupby(["event_type", "shard"])
-                  .map_groups(per_shard, batch_format="pyarrow"))
-
-    def merge_type(group: pa.Table) -> pa.Table:
-        etype = group["event_type"][0].as_py()
-        shard = group["shard"].to_numpy(zero_copy_only=False)
-        smax = group["shard_max_ts"].to_numpy(zero_copy_only=False)
-        win = group["window_start_us"].to_numpy(zero_copy_only=False)
-        late_l = group["late_local"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy(zero_copy_only=False)
-        v = group["v"].to_numpy(zero_copy_only=False)
+    def finish(part: pa.Table) -> pa.Table:
+        shard, inv = np.unique(part["shard"].to_numpy(zero_copy_only=False),
+                               return_inverse=True)
+        smax = np.full(len(shard), lo, dtype=np.int64)
+        np.maximum.at(smax, inv, part["shard_max_ts"]
+                      .to_numpy(zero_copy_only=False))
         # exclusive prefix max of shard maxima, in shard order
-        uniq_shards, inv = np.unique(shard, return_inverse=True)
-        per_shard_max = np.full(len(uniq_shards), np.iinfo(np.int64).min,
-                                dtype=np.int64)
-        np.maximum.at(per_shard_max, inv, smax)
-        carry = np.concatenate([[np.iinfo(np.int64).min],
-                                np.maximum.accumulate(per_shard_max)[:-1]])
-        carry_in = carry[inv]
+        carry = np.concatenate([[lo], np.maximum.accumulate(smax)[:-1]])[inv]
+        win = part["window_start_us"].to_numpy(zero_copy_only=False)
         # lateness on the RIGHT side: carry_in is int64.min for the first
         # shard and subtracting would wrap
-        flipped = (late_l == 0) & (carry_in >= win + window_us + lateness_us)
-        is_late = (late_l == 1) | flipped
-        t = pa.table({
-            "window_start_us": pa.array(win),
-            "is_late": pa.array(is_late.astype(np.int64)),
-            "n": pa.array(n),
-            "v": pa.array(np.where(is_late, 0, v)),
-        })
-        g = (t.group_by(["window_start_us", "is_late"], use_threads=False)
-             .aggregate([("n", "sum"), ("v", "sum")]))
+        late = ((part["is_late"].to_numpy(zero_copy_only=False) == 1)
+                | (carry >= win + window_us + lateness_us))
+        v = part["sum_value_c"].to_numpy(zero_copy_only=False)
+        g = (pa.table({
+            "window_start_us": win,
+            "is_late": late.astype(np.int64),
+            "n": part["n_events"],
+            "v": np.where(late, 0, v),
+        }).group_by(["window_start_us", "is_late"], use_threads=False)
+          .aggregate([("n", "sum"), ("v", "sum")]))
         return pa.table({
-            "window_start_us": pc.cast(g["window_start_us"], pa.int64()),
-            "event_type": pa.array([etype] * len(g), type=pa.string()),
-            "is_late": pc.cast(g["is_late"], pa.int64()),
-            "n_events": pc.cast(g["n_sum"], pa.int64()),
-            "sum_value_c": pc.cast(g["v_sum"], pa.int64()),
+            "window_start_us": g["window_start_us"],
+            "event_type": pa.array([part["event_type"][0].as_py()] * len(g),
+                                   type=pa.string()),
+            "is_late": g["is_late"],
+            "n_events": g["n_sum"],
+            "sum_value_c": g["v_sum"],
         })
 
-    return partials.groupby("event_type").map_groups(merge_type,
-                                                     batch_format="pyarrow")
+    if shard_events is None:
+        return ds.groupby("event_type").map_groups(
+            lambda g: finish(local(g)), batch_format="pyarrow")
+
+    def add_shard(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "shard", pa.array(_i64(batch["event_id"]) // shard_events))
+
+    return (ds.map_batches(add_shard, batch_format="pyarrow")
+              .groupby(["event_type", "shard"])
+              .map_groups(local, batch_format="pyarrow")
+              .groupby("event_type")
+              .map_groups(finish, batch_format="pyarrow"))
 
 
 def sql_streaming_windowed_agg(lateness_us: int = 60_000_000,
@@ -489,8 +355,6 @@ def value_quantiles(ds: "ray.data.Dataset",
     Columns: event_type, n_events, n_users, p{50,90,99}_value_c — the
     quantile convention matches DuckDB quantile_disc: sorted value at
     index max(0, ceil(q*n) - 1)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     proj = _project_type_cents(ds)
     stats = _type_value_stats(proj)
     tags = [f"p{int(round(q * 100))}_value_c" for q in qs]
@@ -586,79 +450,100 @@ def sql_props_extract() -> str:
 # custom joins the Dataset API lacks: as-of join + range join
 # ---------------------------------------------------------------------------
 
+def _asof_runs(t: pa.Table, keys: list[str], side: bool) -> pa.Table:
+    """The one "latest prior right in this run" kernel of
+    :func:`asof_join_prior`. Rows (user_id[, shard], ts, event_id,
+    is_left) sort by (keys, ts, event_id); a running maximum over
+    right-row positions gives each row the latest right at a strictly
+    earlier position, and a carry from an earlier run (below the run's
+    head) means no match. Matched lefts come out as (event_id, user_id,
+    prior_event_id, gap_us).
+
+    With ``side`` (per-shard runs), each run also emits its unresolved
+    lefts and its last right, marked ``side``: the user-keyed merge
+    re-runs this kernel over them. A pending left has no right before it
+    in its own shard, so that shard's last right sorts after it and only
+    earlier shards' last rights can precede it."""
+    k = [t[c].to_numpy(zero_copy_only=False) for c in keys]
+    ts = t["ts"].to_numpy(zero_copy_only=False)
+    eid = t["event_id"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((eid, ts, *k[::-1]))
+    uid, ts, eid = k[0][order], ts[order], eid[order]
+    is_left = t["is_left"].to_numpy(zero_copy_only=False)[order]
+    head = _run_heads(*(a[order] for a in k))
+    prior = np.full(len(eid), -1, dtype=np.int64)
+    prior[1:] = np.maximum.accumulate(
+        np.where(is_left, -1, np.arange(len(eid))))[:-1]
+    ok = is_left & (prior >= _run_starts(head))
+    keep = ok
+    if side:
+        run = np.cumsum(head)
+        right = np.flatnonzero(~is_left)
+        keep = is_left.copy()
+        keep[right[np.diff(run[right], append=0) != 0]] = True
+    matched = ok[keep]
+    pi = np.maximum(prior[keep], 0)
+    out = {"event_id": eid[keep], "user_id": uid[keep],
+           "prior_event_id": np.where(matched, eid[pi], -1),
+           "gap_us": np.where(matched, ts[keep] - ts[pi], 0)}
+    if side:
+        out.update(ts=ts[keep], is_left=is_left[keep], side=~matched)
+    return pa.table(out)
+
+
 def asof_join_prior(ds: "ray.data.Dataset", left_type: str = "purchase",
-                    right_type: str = "view") -> "ray.data.Dataset":
+                    right_type: str = "view",
+                    shard_us: int | None = None) -> "ray.data.Dataset":
     """AS-OF JOIN (inner): for every ``left_type`` event, the most recent
     STRICTLY-PRIOR ``right_type`` event of the same user — "which view
     preceded this purchase". Deterministic prior order is (ts, event_id)
     lexicographic (event_id breaks ts ties; ids are unique), so results
     are engine-independent.
 
-    Ray-Data-first plan (there is no join primitive): ONE coarse shuffle
-    keyed by hash(user_id) — the same partitioning assumption as
-    sessionize (a user's events fit in one partition; salt by time-shard
-    at 10^12 rows). Inside a partition, ALL users resolve in one
-    vectorized pass: rows sorted by (user, ts, event_id); a running
-    maximum over right-row positions gives each row the latest prior
-    right index; a per-user segment start invalidates carries across user
-    boundaries. No per-user Python, no per-row loops.
+    Ray-Data-first plan (there is no join primitive): inside a coarse
+    partition ALL runs resolve in one vectorized pass of
+    :func:`_asof_runs` — no per-user Python, no per-row loops.
+
+    ``shard_us=None``: ONE ``grouped_aggregate`` shuffle keyed by user (a
+    user's events fit in one partition; the run is the user).
+    ``shard_us`` set (skew-safe, the 10^12-row path): the wide shuffle
+    keys on (user, ts // shard_us), so no unit of work exceeds a
+    user-shard; stage 1 resolves every left whose prior lies in its own
+    shard, and a SECOND, small user-keyed shuffle over the side rows only
+    (pending lefts + each shard's last right) resolves the rest. Output
+    is identical for every shard size (tested).
 
     Columns: event_id, user_id, prior_event_id, gap_us (all int64).
     """
-    def add_part(batch: pa.Table) -> pa.Table:
+    keys = ["user_id"] if shard_us is None else ["user_id", "shard"]
+
+    def events(batch: pa.Table) -> pa.Table:
         et = pc.cast(batch["event_type"], pa.string())
-        keep = pc.is_in(et, value_set=pa.array([left_type, right_type]))
-        b = batch.filter(keep)
-        uid = pc.cast(b["user_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "part": pa.array(_user_part(uid, NUM_EVENT_PARTITIONS)),
-            "user_id": pa.array(uid),
-            "ts": pc.cast(pc.cast(b["ts"], pa.int64()), pa.int64()),
-            "event_id": pc.cast(b["event_id"], pa.int64()),
-            "is_left": pc.equal(pc.cast(b["event_type"], pa.string()),
-                                left_type),
-        })
+        b = batch.filter(pc.is_in(et, value_set=pa.array([left_type,
+                                                          right_type])))
+        ts = _i64(b["ts"])
+        cols = {"user_id": _i64(b["user_id"]), "ts": ts,
+                "event_id": _i64(b["event_id"]),
+                "is_left": pc.equal(pc.cast(b["event_type"], pa.string()),
+                                    left_type)}
+        if shard_us is not None:
+            cols["shard"] = ts // shard_us
+        return pa.table(cols)
 
-    def per_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        eid = group["event_id"].to_numpy(zero_copy_only=False)
-        is_left = group["is_left"].to_numpy(zero_copy_only=False)
-        empty = pa.table({
-            "event_id": pa.array([], type=pa.int64()),
-            "user_id": pa.array([], type=pa.int64()),
-            "prior_event_id": pa.array([], type=pa.int64()),
-            "gap_us": pa.array([], type=pa.int64()),
-        })
-        if uid.size == 0:
-            return empty
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, eid, is_left = (uid[order], ts[order], eid[order],
-                                 is_left[order])
-        n = uid.size
-        idx = np.arange(n, dtype=np.int64)
-        # position of each row's user-run start
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        user_start = idx[new_user][np.cumsum(new_user) - 1]
-        # latest right-row position at a strictly earlier sort position;
-        # a carry from a previous user lands < user_start → no match
-        right_pos = np.where(~is_left, idx, -1)
-        prior = np.concatenate(
-            [[-1], np.maximum.accumulate(right_pos)[:-1]])
-        ok = is_left & (prior >= user_start)
-        pi = prior[ok]
-        return pa.table({
-            "event_id": pa.array(eid[ok]),
-            "user_id": pa.array(uid[ok]),
-            "prior_event_id": pa.array(eid[pi]),
-            "gap_us": pa.array(ts[ok] - ts[pi]),
-        })
+    runs = grouped_aggregate(
+        ds.map_batches(events, batch_format="pyarrow"), keys,
+        lambda p: _asof_runs(p, keys, shard_us is not None))
+    if shard_us is None:
+        return runs
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-              .groupby("part").map_groups(per_part, batch_format="pyarrow"))
+    def merge(part: pa.Table) -> pa.Table:
+        side = part["side"]
+        done = part.filter(pc.invert(side)).select(
+            ["event_id", "user_id", "prior_event_id", "gap_us"])
+        return pa.concat_tables([done, _asof_runs(part.filter(side),
+                                                  ["user_id"], False)])
+
+    return grouped_aggregate(runs, ["user_id"], merge)
 
 
 def sql_asof_join_prior(left_type: str = "purchase",
@@ -740,155 +625,6 @@ FROM events e JOIN buckets b ON e.value >= b.lo AND e.value < b.hi
 """
 
 
-def asof_join_prior_salted(ds: "ray.data.Dataset",
-                           left_type: str = "purchase",
-                           right_type: str = "view",
-                           shard_us: int = 86_400_000_000
-                           ) -> "ray.data.Dataset":
-    """Skew-safe twin of ``asof_join_prior`` — the 10^12-row path.
-
-    The plain operator co-locates a user's entire history; here the wide
-    shuffle keys on (user, time-shard) so no unit of work exceeds a
-    user-day. Stage 1 resolves every left event whose prior right event
-    lies in the SAME shard and emits two tiny side outputs per (user,
-    shard) run: the run's LAST right event (one row) and the run's
-    UNRESOLVED left events (those whose prior lies in an earlier shard).
-    Stage 2 is a small per-user shuffle over those side rows only —
-    lefts sort BEFORE rights within a shard, so the same vectorized
-    running-max pass matches each pending left to the latest earlier
-    shard's last right. Output is IDENTICAL to asof_join_prior()
-    (asserted in tests; same driver oracle).
-    """
-    def add_shard(batch: pa.Table) -> pa.Table:
-        et = pc.cast(batch["event_type"], pa.string())
-        keep = pc.is_in(et, value_set=pa.array([left_type, right_type]))
-        b = batch.filter(keep)
-        uid = pc.cast(b["user_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ts = pc.cast(pc.cast(b["ts"], pa.int64()), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        shard = ts // shard_us
-        with np.errstate(over="ignore"):
-            key = (uid.astype(np.uint64) * _MIX
-                   + shard.astype(np.uint64)) * _MIX
-        return pa.table({
-            "part": pa.array((key % np.uint64(NUM_EVENT_PARTITIONS))
-                             .astype(np.int32)),
-            "user_id": pa.array(uid),
-            "shard": pa.array(shard),
-            "ts": pa.array(ts),
-            "event_id": pc.cast(b["event_id"], pa.int64()),
-            "is_left": pc.equal(pc.cast(b["event_type"], pa.string()),
-                                left_type),
-        })
-
-    def _rows(eids, uids, prior_eids, gaps, kinds, shards, tss):
-        return pa.table({
-            "event_id": pa.array(eids, type=pa.int64()),
-            "user_id": pa.array(uids, type=pa.int64()),
-            "prior_event_id": pa.array(prior_eids, type=pa.int64()),
-            "gap_us": pa.array(gaps, type=pa.int64()),
-            # kind 2 = resolved match, 0 = pending left, 1 = last-right
-            "kind": pa.array(kinds, type=pa.int64()),
-            "shard": pa.array(shards, type=pa.int64()),
-            "ts": pa.array(tss, type=pa.int64()),
-        })
-
-    def per_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        shard = group["shard"].to_numpy(zero_copy_only=False)
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        eid = group["event_id"].to_numpy(zero_copy_only=False)
-        is_left = group["is_left"].to_numpy(zero_copy_only=False)
-        if uid.size == 0:
-            return _rows([], [], [], [], [], [], [])
-        order = np.lexsort((eid, ts, shard, uid))
-        uid, shard, ts, eid, is_left = (uid[order], shard[order],
-                                        ts[order], eid[order],
-                                        is_left[order])
-        n = uid.size
-        idx = np.arange(n, dtype=np.int64)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (uid[1:] != uid[:-1]) | (shard[1:] != shard[:-1])
-        run_id = np.cumsum(new_run) - 1
-        run_start = idx[new_run][run_id]
-        right_pos = np.where(~is_left, idx, -1)
-        prior = np.concatenate(
-            [[-1], np.maximum.accumulate(right_pos)[:-1]])
-        matched = is_left & (prior >= run_start)
-        pending = is_left & ~matched
-        pi = prior[matched]
-        k = int(run_id[-1]) + 1
-        last_r = np.full(k, -1, dtype=np.int64)
-        ir = np.nonzero(~is_left)[0]
-        np.maximum.at(last_r, run_id[ir], ir)
-        has_r = last_r >= 0
-        lr = last_r[has_r]
-        nm, np_, nr = int(matched.sum()), int(pending.sum()), int(lr.size)
-        z = np.zeros
-        i64 = np.int64
-        return pa.concat_tables([
-            _rows(eid[matched], uid[matched], eid[pi], ts[matched] - ts[pi],
-                  np.full(nm, 2, dtype=i64), shard[matched], ts[matched]),
-            _rows(eid[pending], uid[pending], np.full(np_, -1, dtype=i64),
-                  z(np_, dtype=i64), z(np_, dtype=i64), shard[pending],
-                  ts[pending]),
-            _rows(eid[lr], uid[lr], np.full(nr, -1, dtype=i64),
-                  z(nr, dtype=i64), np.ones(nr, dtype=i64), shard[lr],
-                  ts[lr]),
-        ])
-
-    stage1 = (ds.map_batches(add_shard, batch_format="pyarrow")
-                .groupby("part").map_groups(per_part,
-                                            batch_format="pyarrow"))
-
-    def add_upart(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "upart", pa.array(_user_part(uid, NUM_EVENT_PARTITIONS)))
-
-    def merge_part(group: pa.Table) -> pa.Table:
-        kind = group["kind"].to_numpy(zero_copy_only=False)
-        resolved = group.filter(pa.array(kind == 2)).select(
-            ["event_id", "user_id", "prior_event_id", "gap_us"])
-        side = group.filter(pa.array(kind != 2))
-        uid = side["user_id"].to_numpy(zero_copy_only=False)
-        shard = side["shard"].to_numpy(zero_copy_only=False)
-        ts = side["ts"].to_numpy(zero_copy_only=False)
-        eid = side["event_id"].to_numpy(zero_copy_only=False)
-        kk = side["kind"].to_numpy(zero_copy_only=False)
-        if uid.size == 0:
-            return resolved
-        # lefts (kind 0) sort BEFORE rights (kind 1) within a shard, so a
-        # pending left sees only rights from strictly earlier shards
-        order = np.lexsort((eid, kk, shard, uid))
-        uid, shard, ts, eid, kk = (uid[order], shard[order], ts[order],
-                                   eid[order], kk[order])
-        n = uid.size
-        idx = np.arange(n, dtype=np.int64)
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        user_start = idx[new_user][np.cumsum(new_user) - 1]
-        right_pos = np.where(kk == 1, idx, -1)
-        prior = np.concatenate(
-            [[-1], np.maximum.accumulate(right_pos)[:-1]])
-        ok = (kk == 0) & (prior >= user_start)
-        pi = prior[ok]
-        late = pa.table({
-            "event_id": pa.array(eid[ok]),
-            "user_id": pa.array(uid[ok]),
-            "prior_event_id": pa.array(eid[pi]),
-            "gap_us": pa.array(ts[ok] - ts[pi]),
-        })
-        return pa.concat_tables([resolved, late])
-
-    return (stage1.map_batches(add_upart, batch_format="pyarrow")
-                  .groupby("upart").map_groups(merge_part,
-                                               batch_format="pyarrow"))
-
-
 def rolling_user_window(ds: "ray.data.Dataset",
                         k: int = 5) -> "ray.data.Dataset":
     """Per-user rolling ROWS-window aggregate — for each event, the
@@ -901,57 +637,40 @@ def rolling_user_window(ds: "ray.data.Dataset",
     over the window — integer end-to-end, so window sums are exact and
     order-insensitive across engines).
 
-    ONE coarse hash(user) shuffle (the house pattern: a user's rows
-    co-locate; partitions hold many users). Inside a partition ALL
-    users resolve in one lexsort + prefix-sum pass: rolling sum =
-    cumsum[i] − cumsum[lo−1] with lo clamped to the user's run start —
-    no per-user or per-row Python. Skew: a hot user's rows land in one
-    partition; bound upstream by salting (ts-shard) as in
-    ``asof_join_prior_salted`` if a single user exceeds a worker.
+    ONE ``grouped_aggregate`` shuffle keyed by user (the house pattern: a
+    user's rows co-locate; partitions hold many users). Inside a
+    partition ALL users resolve in one lexsort + prefix-sum pass: rolling
+    sum = cumsum[i] − cumsum[lo−1] with lo clamped to the user's run
+    start — no per-user or per-row Python. Skew: a hot user's rows land
+    in one partition; a user that exceeds a worker needs the time-shard
+    split of ``sessionize(shard_us=)`` / ``asof_join_prior(shard_us=)``.
     """
-    def add_part(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch["user_id"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
+    def events(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pa.array(_user_part(uid, NUM_EVENT_PARTITIONS)),
-            "user_id": pa.array(uid),
-            "ts": pc.cast(batch["ts"], pa.int64()),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "vc": pa.array(np.round(
-                batch["value"].to_numpy(zero_copy_only=False) * 100.0)
-                .astype(np.int64)),
+            "user_id": _i64(batch["user_id"]),
+            "ts": _i64(batch["ts"]),
+            "event_id": _i64(batch["event_id"]),
+            "vc": _cents(batch["value"]),
         })
 
     def per_part(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        if uid.size == 0:
-            z = pa.array([], type=pa.int64())
-            return pa.table({"event_id": z, "user_id": z,
-                             "roll_n": z, "roll_sum_c": z})
-        ts = group["ts"].to_numpy(zero_copy_only=False)
-        eid = group["event_id"].to_numpy(zero_copy_only=False)
-        vc = group["vc"].to_numpy(zero_copy_only=False)
+        uid, ts, eid, vc = (group[c].to_numpy(zero_copy_only=False)
+                            for c in ("user_id", "ts", "event_id", "vc"))
         order = np.lexsort((eid, ts, uid))
         uid, eid, vc = uid[order], eid[order], vc[order]
-        n = uid.size
-        idx = np.arange(n, dtype=np.int64)
-        new_user = np.empty(n, dtype=bool)
-        new_user[0] = True
-        new_user[1:] = uid[1:] != uid[:-1]
-        user_start = idx[new_user][np.cumsum(new_user) - 1]
-        lo = np.maximum(idx - (k - 1), user_start)
+        idx = np.arange(len(uid))
+        lo = np.maximum(idx - (k - 1), _run_starts(_run_heads(uid)))
         cs = np.cumsum(vc)
         prev = np.where(lo > 0, cs[np.maximum(lo - 1, 0)], 0)
         return pa.table({
-            "event_id": pa.array(eid),
-            "user_id": pa.array(uid),
-            "roll_n": pa.array(idx - lo + 1),
-            "roll_sum_c": pa.array(cs - prev),
+            "event_id": eid,
+            "user_id": uid,
+            "roll_n": idx - lo + 1,
+            "roll_sum_c": cs - prev,
         })
 
-    return (ds.map_batches(add_part, batch_format="pyarrow")
-              .groupby("part").map_groups(per_part,
-                                          batch_format="pyarrow"))
+    return grouped_aggregate(ds.map_batches(events, batch_format="pyarrow"),
+                             ["user_id"], per_part)
 
 
 def sql_rolling_user_window(k: int = 5) -> str:
@@ -1009,8 +728,6 @@ def hll_distinct_users(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     Columns: event_type (string), est_r (float64).
     """
     import hashlib
-
-    from searchengine_ray.pipelines.common import grouped_aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
@@ -1089,220 +806,197 @@ FROM (SELECT event_type, zeros,
 """
 
 
-def global_value_rank(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+_RANK_SCHEMA = pa.schema([("event_id", pa.int64()), ("rnk", pa.int64())])
+
+
+def _value_histogram(ds: "ray.data.Dataset",
+                     by: list[str]) -> "ray.data.Dataset":
+    """Exact (*by, vc, n) histogram of vc = round(value·100): partial per
+    batch, one digest-sized ``grouped_aggregate`` shuffle."""
+    keys = [*by, "vc"]
+
+    def hpart(batch: pa.Table) -> pa.Table:
+        t = pa.table({**{c: batch[c] for c in by},
+                      "vc": _cents(batch["value"])})
+        g = t.group_by(keys, use_threads=False).aggregate([("vc", "count")])
+        return pa.table({**{c: g[c] for c in keys},
+                         "n": pc.cast(g["vc_count"], pa.int64())})
+
+    def hreduce(part: pa.Table) -> pa.Table:
+        g = part.group_by(keys, use_threads=False).aggregate([("n", "sum")])
+        return pa.table({**{c: g[c] for c in keys}, "n": g["n_sum"]})
+
+    return grouped_aggregate(ds.map_batches(hpart, batch_format="pyarrow"),
+                             keys, hreduce)
+
+
+def _ranks_of(vc: np.ndarray, n: np.ndarray,
+              above: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values ``vc`` with counts ``n``, ``above`` rows valued
+    higher than all of them → (ascending order, rank() by value DESC of
+    ``vc[order]``): 1 + above + rows valued strictly higher."""
+    order = np.argsort(vc, kind="stable")
+    na = n[order]
+    return order, above + 1 + (int(na.sum()) - np.cumsum(na))
+
+
+def _rank(ds: "ray.data.Dataset", num_buckets: int | None,
+          group: str | None = None) -> tuple["ray.data.Dataset", int]:
+    """rank() by value DESC [PARTITION BY ``group``] of every event, plus
+    N (the histogram's total count). Both plans start from the exact
+    :func:`_value_histogram` and never sort the corpus.
+
+    ``num_buckets=None`` (broadcast, ungrouped only): the histogram
+    reaches the driver, its ranks are broadcast once via ``ray.put`` and
+    one streaming searchsorted pass assigns them — bounded by the number
+    of DISTINCT values, the right plan for a quantized domain.
+
+    ``num_buckets`` set (ranged, for a continuous domain): nothing
+    O(distinct-values) reaches the driver.
+      1. the histogram stays a DISTRIBUTED (materialized) Dataset;
+      2. its rows range-bucket by split points from a bounded per-block
+         sample (the splits only steer partitioning — output is
+         independent of them); per-([group,] bucket) TOTALS are the only
+         other driver fetch (≤ groups × num_buckets scalars), whose DESC
+         exclusive prefix gives each bucket its rank offset;
+      3. one grouped pass ranks each ([group,] bucket) locally → a
+         DISTRIBUTED ([group,] vc, rnk) table;
+      4. events co-partition with it by hash([group,] vc) in a
+         union-shuffle; one in-partition sort puts each rank row ahead
+         of its events and carries its rank onto them.
+    """
+    by = [group] if group else []
+    hist = _value_histogram(ds, by)
+    if num_buckets is None:
+        parts = list(hist.iter_batches(batch_format="pyarrow"))
+        vals, cnts = (np.concatenate(
+            [b[c].to_numpy(zero_copy_only=False) for b in parts]
+            or [np.empty(0, dtype=np.int64)]) for c in ("vc", "n"))
+        if not len(vals):
+            return ray.data.from_arrow(_RANK_SCHEMA.empty_table()), 0
+        order, rnk = _ranks_of(vals, cnts)
+        ref = ray.put((vals[order], rnk))
+
+        def lookup(batch: pa.Table) -> pa.Table:
+            v_asc, r_asc = ray.get(ref)
+            return pa.table({
+                "event_id": pc.cast(batch["event_id"], pa.int64()),
+                "rnk": r_asc[np.searchsorted(v_asc, _cents(batch["value"]))],
+            })
+
+        return (ds.map_batches(lookup, batch_format="pyarrow"),
+                int(cnts.sum()))
+
+    hist = hist.materialize()
+
+    # split points from a bounded per-block quantile sample (≤
+    # num_buckets + 1 values per block reach the driver — a SAMPLE, not
+    # the table; split quality affects balance only, never output values)
+    def sample(batch: pa.Table) -> pa.Table:
+        vc = batch["vc"].to_numpy(zero_copy_only=False)
+        if len(vc):
+            vc = np.quantile(vc, np.linspace(0, 1, num_buckets + 1),
+                             method="nearest").astype(np.int64)
+        return pa.table({"s": np.unique(vc)})
+
+    samp = np.unique(np.concatenate(
+        [b["s"].to_numpy(zero_copy_only=False) for b in
+         hist.map_batches(sample, batch_format="pyarrow")
+             .iter_batches(batch_format="pyarrow")] or
+        [np.empty(0, dtype=np.int64)]))
+    if len(samp) == 0:
+        return ray.data.from_arrow(_RANK_SCHEMA.empty_table()), 0
+    splits = np.unique(np.quantile(
+        samp, np.linspace(0, 1, num_buckets + 1)[1:-1],
+        method="nearest").astype(np.int64))
+
+    def bucket_of(vc) -> np.ndarray:
+        return np.searchsorted(splits, vc.to_numpy(zero_copy_only=False),
+                               side="right").astype(np.int64)
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        return batch.append_column("b", pa.array(bucket_of(batch["vc"])))
+
+    # per-([group,] bucket) totals — the ONLY other driver fetch
+    def btot(batch: pa.Table) -> pa.Table:
+        return add_bucket(batch).group_by([*by, "b"], use_threads=False) \
+            .aggregate([("n", "sum")])
+
+    nb = len(splits) + 1
+    tot: dict[tuple, np.ndarray] = {}
+    for b in hist.map_batches(btot, batch_format="pyarrow") \
+                 .iter_batches(batch_format="pyarrow"):
+        for *key, bk, n in zip(*(b[c].to_pylist()
+                                 for c in [*by, "b", "n_sum"])):
+            tot.setdefault(tuple(key), np.zeros(nb, dtype=np.int64))[bk] += n
+    # DESC rank offsets: bucket k (values ≤ splits[k]) is OUTRANKED by
+    # every value of its group in higher buckets
+    above = {key: np.cumsum(t[::-1])[::-1] - t for key, t in tot.items()}
+
+    def rank_bucket(part: pa.Table) -> pa.Table:
+        key = tuple(part[c][0].as_py() for c in by)
+        order, rnk = _ranks_of(
+            part["vc"].to_numpy(zero_copy_only=False),
+            part["n"].to_numpy(zero_copy_only=False),
+            int(above[key][part["b"][0].as_py()]))
+        return part.select([*by, "vc"]).take(order) \
+            .append_column("rnk", pa.array(rnk))
+
+    ranks = (hist.map_batches(add_bucket, batch_format="pyarrow")
+             .groupby([*by, "b"])
+             .map_groups(rank_bucket, batch_format="pyarrow"))
+
+    def tag_events(batch: pa.Table) -> pa.Table:
+        return pa.table({**{c: batch[c] for c in by},
+                         "vc": _cents(batch["value"]),
+                         "event_id": pc.cast(batch["event_id"], pa.int64()),
+                         "rnk": pa.nulls(len(batch), type=pa.int64())})
+
+    def tag_ranks(batch: pa.Table) -> pa.Table:
+        return pa.table({**{c: batch[c] for c in by}, "vc": batch["vc"],
+                         "event_id": pa.nulls(len(batch), type=pa.int64()),
+                         "rnk": batch["rnk"]})
+
+    def assign(part: pa.Table) -> pa.Table:
+        # sort by ([group,] vc), each rank row ahead of its events, and
+        # carry the rank row forward onto them
+        ev = pc.is_valid(part["event_id"]).to_numpy(zero_copy_only=False)
+        keys = [part["vc"].to_numpy(zero_copy_only=False)]
+        if group:
+            keys.append(pc.index_in(part[group], value_set=pc.unique(
+                part[group])).to_numpy(zero_copy_only=False))
+        order = np.lexsort((ev, *keys))
+        ev = ev[order]
+        src = order[np.maximum.accumulate(
+            np.where(ev, 0, np.arange(len(ev))))]
+        return pa.table({
+            "event_id": part["event_id"].take(order[ev]),
+            "rnk": part["rnk"].take(src[ev]),
+        })
+
+    unioned = (ds.map_batches(tag_events, batch_format="pyarrow")
+               .union(ranks.map_batches(tag_ranks, batch_format="pyarrow")))
+    return (grouped_aggregate(unioned, [*by, "vc"], assign),
+            sum(int(t.sum()) for t in tot.values()))
+
+
+def global_value_rank(ds: "ray.data.Dataset",
+                      num_buckets: int | None = None) -> "ray.data.Dataset":
     """Global rank of every event by value DESC (``rank()`` semantics:
     1 + count of strictly greater values; ties share a rank) — the
     distributed-global-sort-rank operator, WITHOUT a global sort.
-
-    Bounded-domain broadcast-histogram pattern (same cut as
-    value_quantiles): phase 1 builds the exact (value_c, count)
-    histogram — partial per batch, digest-sized shuffle, only histogram
-    rows reach the driver; the DESC-sorted exclusive prefix sum gives
-    each value its rank, broadcast once via ``ray.put``; phase 2 is one
-    streaming searchsorted lookup per batch. The corpus is never sorted
-    and never re-shuffled. Columns: event_id, rnk (int64).
+    ``num_buckets=None`` broadcasts the (value, rank) table (bounded by
+    distinct values); an int runs the range-bucketed plan for a
+    continuous domain (see :func:`_rank`). Columns: event_id, rnk (int64),
+    identical on both plans.
     """
-    import ray
-
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
-    def hpart(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        u, c = np.unique(vc, return_counts=True)
-        return pa.table({"vc": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    def hreduce(part: pa.Table) -> pa.Table:
-        g = part.group_by(["vc"], use_threads=False).aggregate([("n", "sum")])
-        return pa.table({"vc": g["vc"], "n": g["n_sum"]})
-
-    hist = pa.concat_tables(
-        [pa.table(b) for b in
-         grouped_aggregate(ds.map_batches(hpart, batch_format="pyarrow"),
-                           ["vc"], hreduce).iter_batches(batch_format="pyarrow")])
-    vals = hist["vc"].to_numpy(zero_copy_only=False)
-    cnts = hist["n"].to_numpy(zero_copy_only=False)
-    order = np.argsort(-vals, kind="stable")
-    vals_desc, cnts_desc = vals[order], cnts[order]
-    ranks_desc = np.ones(len(vals_desc), dtype=np.int64)
-    ranks_desc[1:] += np.cumsum(cnts_desc[:-1])
-    # re-sort ascending for searchsorted lookups
-    asc = np.argsort(vals_desc, kind="stable")
-    ref = ray.put((vals_desc[asc], ranks_desc[asc]))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        v_asc, r_asc = ray.get(ref)
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        pos = np.searchsorted(v_asc, vc)
-        return pa.table({
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "rnk": pa.array(r_asc[pos]),
-        })
-
-    return ds.map_batches(assign, batch_format="pyarrow")
+    return _rank(ds, num_buckets)[0]
 
 
 def sql_global_value_rank() -> str:
     return ("SELECT event_id, CAST(rank() OVER (ORDER BY "
             "CAST(round(value * 100) AS BIGINT) DESC) AS BIGINT) AS rnk "
             "FROM events")
-
-
-def global_value_rank_ranged(ds: "ray.data.Dataset",
-                             num_buckets: int = 32) -> "ray.data.Dataset":
-    """Output-identical twin of :func:`global_value_rank` for a
-    CONTINUOUS value domain, where the broadcast (value, rank) table
-    would be O(N) (ROADMAP round-5 candidate, landed in round 4).
-
-    Nothing O(distinct-values) ever reaches the driver:
-
-      1. exact (vc, n) histogram — the same digest shuffle, kept as a
-         DISTRIBUTED Dataset;
-      2. histogram rows range-bucket by sampled split points (the splits
-         only steer partitioning — output is independent of them);
-         per-bucket TOTALS are the only driver fetch: ``num_buckets``
-         scalars, whose DESC exclusive prefix gives each bucket its rank
-         offset (broadcast back as a tiny closure constant);
-      3. one grouped pass ranks each bucket's values locally (DESC sort
-         + exclusive prefix + bucket offset) → a DISTRIBUTED (vc, rnk)
-         table;
-      4. events co-partition with the rank table by hash(vc) in a
-         union-shuffle; an in-partition searchsorted assigns every
-         event its rank.
-
-    Columns: event_id, rnk (int64) — bit-identical to the broadcast twin
-    and the SQL oracle (asserted by the ``events_global_rank_ranged``
-    driver entry and tests).
-    """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
-    def hpart(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        u, c = np.unique(vc, return_counts=True)
-        return pa.table({"vc": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    def hreduce(part: pa.Table) -> pa.Table:
-        g = part.group_by(["vc"], use_threads=False) \
-                .aggregate([("n", "sum")])
-        return pa.table({"vc": g["vc"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    hist = grouped_aggregate(ds.map_batches(hpart, batch_format="pyarrow"),
-                             ["vc"], hreduce).materialize()
-
-    # split points from a bounded per-batch quantile sample (≤ 33 values
-    # per block reach the driver — a SAMPLE, not the table; split quality
-    # affects balance only, never output values)
-    def sample(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        if len(vc) == 0:
-            return pa.table({"s": pa.array([], type=pa.int64())})
-        qs = np.quantile(vc, np.linspace(0, 1, num_buckets + 1),
-                         method="nearest").astype(np.int64)
-        return pa.table({"s": pa.array(np.unique(qs))})
-
-    samp = np.sort(np.unique(np.concatenate(
-        [b["s"].to_numpy(zero_copy_only=False) for b in
-         hist.map_batches(sample, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow")] or
-        [np.empty(0, dtype=np.int64)])))
-    if len(samp) == 0:
-        def empty(batch: pa.Table) -> pa.Table:
-            z = pa.array([], type=pa.int64())
-            return pa.table({"event_id": z, "rnk": z})
-        return ds.map_batches(empty, batch_format="pyarrow")
-    splits = np.unique(np.quantile(
-        samp, np.linspace(0, 1, num_buckets + 1)[1:-1],
-        method="nearest").astype(np.int64))
-
-    def bucket_of(vc: np.ndarray) -> np.ndarray:
-        return np.searchsorted(splits, vc, side="right").astype(np.int64)
-
-    # per-bucket totals: the ONLY driver fetch — ≤ num_buckets rows
-    def btot(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        b = bucket_of(vc)
-        u, inv = np.unique(b, return_inverse=True)
-        s = np.zeros(len(u), dtype=np.int64)
-        np.add.at(s, inv, n)
-        return pa.table({"b": pa.array(u), "t": pa.array(s)})
-
-    tot = np.zeros(len(splits) + 1, dtype=np.int64)
-    for b in hist.map_batches(btot, batch_format="pyarrow") \
-                 .iter_batches(batch_format="pyarrow"):
-        np.add.at(tot, b["b"].to_numpy(zero_copy_only=False),
-                  b["t"].to_numpy(zero_copy_only=False))
-    # DESC rank offsets: bucket k (values ≤ splits[k]) is OUTRANKED by
-    # every value in higher buckets
-    offsets = np.concatenate(
-        [np.cumsum(tot[::-1])[::-1][1:], [0]]).astype(np.int64)
-
-    # distributed (vc, rnk) table: rank locally within each bucket
-    def rank_bucket(part: pa.Table) -> pa.Table:
-        vc = part["vc"].to_numpy(zero_copy_only=False)
-        n = part["n"].to_numpy(zero_copy_only=False)
-        b = int(bucket_of(vc[:1])[0])
-        order = np.argsort(-vc, kind="stable")
-        vd, nd = vc[order], n[order]
-        r = np.ones(len(vd), dtype=np.int64) + offsets[b]
-        r[1:] += np.cumsum(nd[:-1])
-        return pa.table({"vc": pa.array(vd), "rnk": pa.array(r)})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        return batch.append_column("b", pa.array(bucket_of(vc)))
-
-    ranks = (hist.map_batches(add_bucket, batch_format="pyarrow")
-             .groupby("b")
-             .map_groups(lambda g: rank_bucket(g.drop_columns(["b"])),
-                         batch_format="pyarrow"))
-
-    # assign: events + rank rows co-partition by hash(vc)
-    def tag_events(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        return pa.table({
-            "vc": pa.array(vc),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "rnk": pa.nulls(len(batch), type=pa.int64()),
-            "side": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
-
-    def tag_ranks(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "vc": batch["vc"],
-            "event_id": pa.nulls(len(batch), type=pa.int64()),
-            "rnk": batch["rnk"],
-            "side": pa.array(np.zeros(len(batch), dtype=np.int64)),
-        })
-
-    def assign(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        vc = part["vc"].to_numpy(zero_copy_only=False)
-        ev = side == 1
-        if not ev.any():
-            z = pa.array([], type=pa.int64())
-            return pa.table({"event_id": z, "rnk": z})
-        rv = vc[~ev]
-        rr = part["rnk"].to_numpy(zero_copy_only=False)[~ev]
-        order = np.argsort(rv, kind="stable")
-        rv, rr = rv[order], rr[order]
-        pos = np.searchsorted(rv, vc[ev])
-        return pa.table({
-            "event_id": pa.array(part["event_id"]
-                                 .to_numpy(zero_copy_only=False)[ev]),
-            "rnk": pa.array(rr[pos]),
-        })
-
-    unioned = (ds.map_batches(tag_events, batch_format="pyarrow")
-               .union(ranks.map_batches(tag_ranks,
-                                        batch_format="pyarrow")))
-    return grouped_aggregate(unioned, ["vc"], assign)
 
 
 def value_zscore(ds: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -1315,8 +1009,6 @@ def value_zscore(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     before the shared round(·,6). Columns: event_id, z_r (float64).
     """
     import ray
-
-    from searchengine_ray.pipelines.common import grouped_aggregate
 
     def mpart(batch: pa.Table) -> pa.Table:
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
@@ -1410,8 +1102,6 @@ def funnel(ds: "ray.data.Dataset",
     per-user bound — no per-user Python loop. Columns: user_id, stage
     (int64: 0 = never did step 1, len(steps) = completed the funnel).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
@@ -1481,8 +1171,6 @@ def retention(ds: "ray.data.Dataset") -> "ray.data.Dataset":
 
     Columns: cohort_week, week_offset, n_users (all int64).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
@@ -1552,8 +1240,6 @@ def interarrival(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     event_id). One coarse hash(user) shuffle; every user in a partition
     resolves in one lexsort + masked diff. Columns: event_id,
     gap_us (int64)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
@@ -1589,73 +1275,26 @@ FROM events
 """
 
 
-def global_percent_rank(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """percent_rank() by value DESC over all events, sort-free: the same
-    broadcast-histogram machinery as global_value_rank with one extra
-    float ((rank−1)/(N−1), round 6 — computed from exact integer ranks,
-    identical op order both engines). Columns: event_id, prank_r."""
-    import ray
-
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
-    def hpart(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        u, c = np.unique(vc, return_counts=True)
-        return pa.table({"vc": pa.array(u),
-                         "n": pa.array(c.astype(np.int64))})
-
-    def hreduce(part: pa.Table) -> pa.Table:
-        g = part.group_by(["vc"], use_threads=False).aggregate([("n", "sum")])
-        return pa.table({"vc": g["vc"], "n": g["n_sum"]})
-
-    hist = pa.concat_tables(
-        [pa.table(b) for b in
-         grouped_aggregate(ds.map_batches(hpart, batch_format="pyarrow"),
-                           ["vc"], hreduce).iter_batches(batch_format="pyarrow")])
-    vals = hist["vc"].to_numpy(zero_copy_only=False)
-    cnts = hist["n"].to_numpy(zero_copy_only=False)
-    n_total = int(cnts.sum())
-    order = np.argsort(-vals, kind="stable")
-    vals_desc, cnts_desc = vals[order], cnts[order]
-    ranks_desc = np.ones(len(vals_desc), dtype=np.int64)
-    ranks_desc[1:] += np.cumsum(cnts_desc[:-1])
-    asc = np.argsort(vals_desc, kind="stable")
-    ref = ray.put((vals_desc[asc], ranks_desc[asc], n_total))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        v_asc, r_asc, n = ray.get(ref)
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        rnk = r_asc[np.searchsorted(v_asc, vc)]
-        denom = float(max(n - 1, 1))
-        pr = np.round((rnk - 1).astype(np.float64) / denom, 6)
-        return pa.table({
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "prank_r": pa.array(pr),
-        })
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def global_percent_rank_ranged(ds: "ray.data.Dataset",
-                               num_buckets: int = 32
-                               ) -> "ray.data.Dataset":
-    """Continuous-domain twin of :func:`global_percent_rank`: composes
-    :func:`global_value_rank_ranged` (no O(distinct-values) broadcast)
-    with the identical float finisher ((rank−1)/(N−1), round 6 — same op
-    order as the broadcast twin and the SQL oracle). N is the dataset
-    row count (parquet metadata — one scalar). Columns: event_id,
-    prank_r."""
-    n_total = ds.count()
-    denom = float(max(n_total - 1, 1))
-    ranked = global_value_rank_ranged(ds, num_buckets)
+def global_percent_rank(ds: "ray.data.Dataset",
+                        num_buckets: int | None = None
+                        ) -> "ray.data.Dataset":
+    """percent_rank() by value DESC over all events, sort-free:
+    :func:`global_value_rank` (either plan) plus one float finisher
+    ((rank−1)/(N−1), round 6 — computed from exact integer ranks,
+    identical op order both engines; N is the histogram's total count).
+    Columns: event_id, prank_r."""
+    ranked, n = _rank(ds, num_buckets)
+    if not n:
+        return ray.data.from_arrow(pa.schema(
+            [("event_id", pa.int64()), ("prank_r", pa.float64())])
+            .empty_table())
+    denom = float(max(n - 1, 1))
 
     def to_pr(batch: pa.Table) -> pa.Table:
         rnk = batch["rnk"].to_numpy(zero_copy_only=False)
-        pr = np.round((rnk - 1).astype(np.float64) / denom, 6)
         return pa.table({"event_id": batch["event_id"],
-                         "prank_r": pa.array(pr)})
+                         "prank_r": np.round((rnk - 1).astype(np.float64)
+                                             / denom, 6)})
 
     return ranked.map_batches(to_pr, batch_format="pyarrow")
 
@@ -1682,8 +1321,6 @@ def distinct_users_exact(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     cardinality, not the event count. Columns: event_type,
     distinct_users (int64).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def pairs(batch: pa.Table) -> pa.Table:
         return (batch.select(["event_type", "user_id"])
                 .group_by(["event_type", "user_id"], use_threads=False)
@@ -1723,8 +1360,6 @@ def running_total(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     (order-insensitive sums). One coarse hash(user) shuffle; every user
     in a partition resolves in one lexsort + cumsum with vectorized
     group-boundary rebase. Columns: event_id, running_c (int64)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def project(batch: pa.Table) -> pa.Table:
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
                       * 100.0).astype(np.int64)
@@ -1774,8 +1409,6 @@ def value_histogram(ds: "ray.data.Dataset",
     only thing that ever moves is (type, bin, n) digests), then ONE
     hash(type, bin) shuffle summing disjoint partials. Columns:
     event_type, bin, n (int64)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def hpart(batch: pa.Table) -> pa.Table:
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
                       * 100.0).astype(np.int64)
@@ -2053,8 +1686,6 @@ def top_n_by_value(ds: "ray.data.Dataset",
     (lexsort + head — ≤ N rows leave each batch), one single-key reduce
     finishes. The shuffle moves ≤ N × blocks digest rows; the corpus is
     never re-ordered. Columns: rnk, event_id, vc (int64)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def _head(eid: np.ndarray, vc: np.ndarray, emit_rank: bool
               ) -> pa.Table:
         order = np.lexsort((eid, -vc))[:n]
@@ -2095,164 +1726,12 @@ def sql_top_n_by_value(n: int = TOP_N_DEFAULT) -> str:
 def type_value_rank_ranged(ds: "ray.data.Dataset",
                            num_buckets: int = 32) -> "ray.data.Dataset":
     """GROUPED window rank — ``rank() OVER (PARTITION BY event_type
-    ORDER BY value DESC)`` — for a CONTINUOUS value domain, same
-    driver-surface discipline as :func:`global_value_rank_ranged`:
-
-      1. exact (type, vc, n) histogram digest, kept DISTRIBUTED;
-      2. histogram rows range-bucket by sampled global splits (splits
-         steer partitioning only — output independent of them);
-         per-(type, bucket) TOTALS are the only driver fetch
-         (≤ |types| × num_buckets scalars), whose per-type DESC
-         exclusive prefix gives each bucket its in-type rank offset;
-      3. one grouped pass ranks each (type, bucket) locally → a
-         DISTRIBUTED (type, vc, rnk) table;
-      4. events co-partition with the rank table by hash(type, vc);
-         an in-partition per-type searchsorted assigns ranks.
-
+    ORDER BY value DESC)`` — for a CONTINUOUS value domain: the ranged
+    plan of :func:`_rank` grouped by event_type (per-(type, bucket)
+    totals are the only driver fetch besides the split sample).
     Columns: event_id, rnk (int64).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
-    def hpart(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "vc": pa.array(vc)})
-        g = t.group_by(["event_type", "vc"], use_threads=False) \
-             .aggregate([("vc", "count")])
-        return pa.table({"event_type": g["event_type"], "vc": g["vc"],
-                         "n": pc.cast(g["vc_count"], pa.int64())})
-
-    def hreduce(part: pa.Table) -> pa.Table:
-        g = part.group_by(["event_type", "vc"], use_threads=False) \
-                .aggregate([("n", "sum")])
-        return pa.table({"event_type": g["event_type"], "vc": g["vc"],
-                         "n": pc.cast(g["n_sum"], pa.int64())})
-
-    hist = grouped_aggregate(ds.map_batches(hpart, batch_format="pyarrow"),
-                             ["event_type", "vc"], hreduce).materialize()
-
-    # global split points from a bounded per-block sample (balance only)
-    def sample(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        if len(vc) == 0:
-            return pa.table({"s": pa.array([], type=pa.int64())})
-        qs = np.quantile(vc, np.linspace(0, 1, num_buckets + 1),
-                         method="nearest").astype(np.int64)
-        return pa.table({"s": pa.array(np.unique(qs))})
-
-    samp = np.sort(np.unique(np.concatenate(
-        [b["s"].to_numpy(zero_copy_only=False) for b in
-         hist.map_batches(sample, batch_format="pyarrow")
-             .iter_batches(batch_format="pyarrow")] or
-        [np.empty(0, dtype=np.int64)])))
-    if len(samp) == 0:
-        def empty(batch: pa.Table) -> pa.Table:
-            z = pa.array([], type=pa.int64())
-            return pa.table({"event_id": z, "rnk": z})
-        return ds.map_batches(empty, batch_format="pyarrow")
-    splits = np.unique(np.quantile(
-        samp, np.linspace(0, 1, num_buckets + 1)[1:-1],
-        method="nearest").astype(np.int64))
-
-    def bucket_of(vc: np.ndarray) -> np.ndarray:
-        return np.searchsorted(splits, vc, side="right").astype(np.int64)
-
-    # per-(type, bucket) totals — the ONLY driver fetch
-    def btot(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        t = batch.select(["event_type"]) \
-            .append_column("b", pa.array(bucket_of(vc))) \
-            .append_column("n", batch["n"])
-        g = t.group_by(["event_type", "b"], use_threads=False) \
-             .aggregate([("n", "sum")])
-        return pa.table({"event_type": g["event_type"], "b": g["b"],
-                         "t": pc.cast(g["n_sum"], pa.int64())})
-
-    tot: dict[str, np.ndarray] = {}
-    nb = len(splits) + 1
-    for b in hist.map_batches(btot, batch_format="pyarrow") \
-                 .iter_batches(batch_format="pyarrow"):
-        for ty, bk, n in zip(b["event_type"].to_pylist(),
-                             b["b"].to_pylist(), b["t"].to_pylist()):
-            tot.setdefault(ty, np.zeros(nb, dtype=np.int64))[bk] += n
-    # per-type DESC rank offsets
-    offsets = {ty: np.concatenate([np.cumsum(t[::-1])[::-1][1:], [0]])
-               .astype(np.int64) for ty, t in tot.items()}
-
-    def rank_bucket(part: pa.Table) -> pa.Table:
-        vc = part["vc"].to_numpy(zero_copy_only=False)
-        n = part["n"].to_numpy(zero_copy_only=False)
-        ty = part["event_type"][0].as_py()
-        b = int(bucket_of(vc[:1])[0])
-        order = np.argsort(-vc, kind="stable")
-        vd, nd = vc[order], n[order]
-        r = np.ones(len(vd), dtype=np.int64) + offsets[ty][b]
-        r[1:] += np.cumsum(nd[:-1])
-        return pa.table({"event_type": pa.array([ty] * len(vd),
-                                                type=pa.string()),
-                         "vc": pa.array(vd), "rnk": pa.array(r)})
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vc = batch["vc"].to_numpy(zero_copy_only=False)
-        return batch.append_column("b", pa.array(bucket_of(vc)))
-
-    ranks = (hist.map_batches(add_bucket, batch_format="pyarrow")
-             .groupby(["event_type", "b"])
-             .map_groups(lambda g: rank_bucket(g.drop_columns(["b"])),
-                         batch_format="pyarrow"))
-
-    def tag_events(batch: pa.Table) -> pa.Table:
-        vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "vc": pa.array(vc),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "rnk": pa.nulls(len(batch), type=pa.int64()),
-            "side": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
-
-    def tag_ranks(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "vc": batch["vc"],
-            "event_id": pa.nulls(len(batch), type=pa.int64()),
-            "rnk": batch["rnk"],
-            "side": pa.array(np.zeros(len(batch), dtype=np.int64)),
-        })
-
-    def assign(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        vc = part["vc"].to_numpy(zero_copy_only=False)
-        ev = side == 1
-        if not ev.any():
-            z = pa.array([], type=pa.int64())
-            return pa.table({"event_id": z, "rnk": z})
-        out_eid, out_rnk = [], []
-        eid = part["event_id"].to_numpy(zero_copy_only=False)
-        rnk = part["rnk"].to_numpy(zero_copy_only=False)
-        types = part["event_type"]
-        for ty in pc.unique(types).to_pylist():  # |types| is bounded
-            tm = pc.equal(types, ty).to_numpy(zero_copy_only=False)
-            evm, rm = tm & ev, tm & ~ev
-            if not evm.any():
-                continue
-            rv, rr = vc[rm], rnk[rm]
-            order = np.argsort(rv, kind="stable")
-            rv, rr = rv[order], rr[order]
-            pos = np.searchsorted(rv, vc[evm])
-            out_eid.append(eid[evm])
-            out_rnk.append(rr[pos])
-        return pa.table({
-            "event_id": pa.array(np.concatenate(out_eid)),
-            "rnk": pa.array(np.concatenate(out_rnk)),
-        })
-
-    unioned = (ds.map_batches(tag_events, batch_format="pyarrow")
-               .union(ranks.map_batches(tag_ranks,
-                                        batch_format="pyarrow")))
-    return grouped_aggregate(unioned, ["event_type", "vc"], assign)
+    return _rank(ds, num_buckets, "event_type")[0]
 
 
 def sql_type_value_rank() -> str:
@@ -2278,8 +1757,6 @@ def pivot_type_counts(ds: "ray.data.Dataset",
     fixed argument (as in SQL PIVOT) — unknown types count only toward
     ``n_total``, keeping the output schema static at any scale.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     cols = [f"n_{t}" for t in types]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2326,8 +1803,6 @@ def user_value_median(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     HALF-cents: lo+hi of the two middles, = 2·median, so even-count
     averages stay integers and order-insensitive).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def med(part: pa.Table) -> pa.Table:
         uid = pc.cast(part["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2371,8 +1846,6 @@ def type_transitions(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     (type × type)-row reduce. The sequence step never leaves the
     partition — only the ≤ |types|² digest rows move twice.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def per_part(part: pa.Table) -> pa.Table:
         uid = pc.cast(part["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2436,8 +1909,6 @@ def latest_per_user(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     Never a global sort; the log's full width rides only the digest
     rows.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def take_latest(t: pa.Table) -> pa.Table:
         uid = pc.cast(t["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2493,8 +1964,6 @@ def value_outliers(ds: "ray.data.Dataset",
     the fences (≤ |types| scalars) broadcast into a final counting
     pass — one partial per batch, one tiny reduce.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     q25 = {r["event_type"]: int(r["p_c"]) for r in
            value_quantile_exact(ds, 1, 4, "p_c", num_buckets,
                                 fetch_threshold).take_all()}
@@ -2570,8 +2039,6 @@ def throttle(ds: "ray.data.Dataset",
     debounce in a single lexsorted shift-compare (a key's events
     co-locate, so the lag never crosses partitions).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def per_part(part: pa.Table) -> pa.Table:
         uid = pc.cast(part["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2631,8 +2098,6 @@ def throttle_chained(ds: "ray.data.Dataset",
     co-location assumption sessionize documents; salt hot keys
     upstream if one key dominates.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def per_part(part: pa.Table) -> pa.Table:
         uid = pc.cast(part["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -2847,8 +2312,6 @@ def daily_leaderboard(ds: "ray.data.Dataset", k: int = 5
     run-boundary rank over ALL days in the partition (no per-day
     Python, no global sort). Output ≤ days × k rows.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def part(batch: pa.Table) -> pa.Table:
         t = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
@@ -2936,7 +2399,6 @@ def sliding_distinct_users(ds: "ray.data.Dataset",
     ``value_quantiles``' n_users. Nothing user-sized ever reaches the
     driver; output rows = number of windows.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
     assert width_us % step_us == 0
     fan = width_us // step_us
 
@@ -3010,8 +2472,6 @@ def user_rfm(ds: "ray.data.Dataset", num_buckets: int = 32,
     count) rows, never a user-sized structure; (3) one vectorized
     labeling pass against the 9 broadcast scalars.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def part(batch: pa.Table) -> pa.Table:
         vc = np.round(batch["value"].to_numpy(zero_copy_only=False)
                       * 100.0).astype(np.int64)
@@ -3112,8 +2572,6 @@ def hourly_seasonality(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     timestamps). Columns: hour, event_type, n_events. Pure combiner:
     ≤ 24×|types| digest rows per batch.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def partial(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         hour = (ts // HOUR_US) % 24
@@ -3159,8 +2617,6 @@ def conversion_time(ds: "ray.data.Dataset",
     loop. A user's events co-locate, so the anchor is always visible
     to the target pass.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def per_part(part: pa.Table) -> pa.Table:
         uid = pc.cast(part["user_id"], pa.int64()) \
             .to_numpy(zero_copy_only=False)
@@ -3225,8 +2681,6 @@ def trend_slope(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     int64; the SQL twin uses HUGEINT) and finishes with the same
     truncate-toward-zero division DuckDB's ``//`` performs.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-
     def partial(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         t = ts // 60_000_000 - TREND_T0_MIN
@@ -3304,7 +2758,6 @@ def value_time_corr(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     double by the identical round-to-nearest cast in both engines, so
     the final rounded double matches bit-for-bit).
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
     import math
 
     def partial(batch: pa.Table) -> pa.Table:

@@ -94,6 +94,15 @@ def _levenshtein_banded(a: str, b: str, cap: int) -> int:
     return min(prev[lb], cap + 1)
 
 
+def _no_candidates(stats: dict | None) -> list[dict]:
+    """Empty result of a query with nothing scorable; its ``stats`` still
+    reports the counters (0 where no phase ran)."""
+    if stats is not None:
+        for k in ("blocks_total", "boost_candidates", "boost_snippet_rows"):
+            stats.setdefault(k, 0)
+    return []
+
+
 class QueryEngine:
     def __init__(self, index_dir: str, cfg: IndexConfig = IndexConfig(),
                  qcfg: QueryConfig = QueryConfig(), *,
@@ -665,7 +674,7 @@ class QueryEngine:
             return []
         scored = self._score_candidates(query)
         if scored is None:
-            return []
+            return _no_candidates(stats)
         acc_ids, acc_scores, original_tokens, original_query = scored
         return self._finish_search(acc_ids, acc_scores, original_tokens,
                                    original_query, top_k, stats)
@@ -721,7 +730,7 @@ class QueryEngine:
             return self.search(query, top_k, stats)
         got = self._wand_candidates(query, top_k, self.MAX_BOOST, stats)
         if got is None:
-            return []
+            return _no_candidates(stats)
         acc_ids, acc_scores, original_tokens, original_query = got
         return self._finish_search(acc_ids, acc_scores, original_tokens,
                                    original_query, top_k, stats)

@@ -152,19 +152,27 @@ def test_staged_boost_topk_keeps_exact_tie_at_kth(engine, built, k):
 
 def test_boost_counters_in_wand_stats(engine):
     """search_wand(stats=) reports the boost phase: candidates boosted and
-    candidates whose snippet was gathered or scanned."""
+    candidates whose snippet was gathered or scanned. A query with nothing
+    scorable (every term of ``parse token stream`` has df > N/2 here)
+    still reports the counters, as 0, on both search paths."""
+    keys = ("blocks_total", "boost_candidates", "boost_snippet_rows")
     cand = snip = 0
     for q in ["queue71", "py org2", "src/module_96/file_25.py", "py",
-              "org2", "rust engine", "org3 java"]:
+              "org2", "rust engine", "org3 java", "parse token stream"]:
         stats: dict = {}
         res = engine.search_wand(q, top_k=5, stats=stats)
-        assert {"blocks_total", "boost_candidates",
-                "boost_snippet_rows"} <= set(stats), q
+        assert set(keys) <= set(stats), q
         assert 0 <= stats["boost_snippet_rows"] <= stats["boost_candidates"]
-        assert res and stats["boost_candidates"] >= len(res), q
+        if q == "parse token stream":
+            assert res == [] and stats["boost_candidates"] == 0, q
+        else:
+            assert res and stats["boost_candidates"] >= len(res), q
         cand += stats["boost_candidates"]
         snip += stats["boost_snippet_rows"]
     assert snip < cand  # the staged bound skipped some snippets
+    stats = {}
+    assert engine.search("parse token stream", top_k=5, stats=stats) == []
+    assert stats == dict.fromkeys(keys, 0)
 
 
 def test_sliced_boost_scan_identical_and_joined_on_close(built,

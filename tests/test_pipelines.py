@@ -2401,6 +2401,47 @@ def test_every_read_parquet_is_column_pruned():
     assert not offenders, offenders
 
 
+def test_events_keeps_one_operator_per_semantic():
+    """Regrowth audit for pipelines/events.py: a skew-safe or
+    continuous-domain plan is a parameter of its operator, never a public
+    ``*_salted`` / ``*_ranged`` twin (``type_value_rank_ranged`` is the
+    grouped rank itself, not a twin), and user-keyed shuffles go through
+    ``grouped_aggregate`` instead of a hand-rolled
+    ``groupby("part")`` / ``groupby("upart")``."""
+    import inspect
+    import re
+
+    from searchengine_ray.pipelines import events
+
+    src = inspect.getsource(events)
+    twins = [n for n in re.findall(r"^def ([a-z]\w*_(?:salted|ranged))\(",
+                                   src, re.M)
+             if n != "type_value_rank_ranged"]
+    assert not twins, twins
+    shuffles = re.findall(r"""groupby\(\s*['"]u?part['"]""", src)
+    assert not shuffles, shuffles
+
+
+def test_gate_prefix_covers_every_plan_family():
+    """The first 50 driver entries hold at least one BM25, hybrid, WAND,
+    join, TPC-H and quantile entry, so a gate run over a prefix still
+    exercises each plan family."""
+    from searchengine_ray.pipelines.driver_api import build_queries
+
+    head = list(build_queries())[:50]
+    families = {
+        "bm25": lambda n: n.startswith("bm25_"),
+        "hybrid": lambda n: n.startswith("hybrid_"),
+        "wand": lambda n: "wand" in n,
+        "join": lambda n: "join" in n,
+        "tpch": lambda n: n.startswith("tpch_"),
+        "quantile": lambda n: "quantile" in n,
+    }
+    missing = [f for f, hit in families.items()
+               if not any(hit(n) for n in head)]
+    assert not missing, (missing, head)
+
+
 def test_term_cooccurrence_join_strategy_identical(docs_ds, monkeypatch):
     """PMI join plan (df attached via union-shuffles against the
     distributed term_df, strings as pair keys) must equal the broadcast

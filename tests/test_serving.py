@@ -482,8 +482,7 @@ def test_streaming_window_salted_identical(ray_session):
     shard up to one giant shard), and on the real events table."""
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.events import (
-        streaming_windowed_agg, streaming_windowed_agg_salted)
+    from searchengine_ray.pipelines.events import streaming_windowed_agg
     H = 3_600_000_000
     rng = np.random.default_rng(11)
     n = 400
@@ -506,7 +505,7 @@ def test_streaming_window_salted_identical(ray_session):
         want = key(streaming_windowed_agg(
             ray.data.from_arrow(t), lateness_us=lateness).take_all())
         for shard_events in (1, 7, 64, 10**9):
-            got = key(streaming_windowed_agg_salted(
+            got = key(streaming_windowed_agg(
                 ray.data.from_arrow(t), lateness_us=lateness,
                 shard_events=shard_events).take_all())
             assert got == want, (lateness, shard_events)
@@ -516,8 +515,105 @@ def test_streaming_window_salted_identical(ray_session):
         SF + "/events.parquet",
         columns=["event_id", "event_type", "ts", "value"])
     want = key(streaming_windowed_agg(ev).take_all())
-    got = key(streaming_windowed_agg_salted(ev, shard_events=128).take_all())
+    got = key(streaming_windowed_agg(ev, shard_events=128).take_all())
     assert got == want
+
+
+def test_streaming_window_cross_block_arrival_matches_duckdb(ray_session):
+    """Arrival order (event_id) interleaves across several Arrow blocks,
+    each block stored out of arrival order, and stragglers land just
+    behind hour boundaries: every shard size equals the SQL oracle run
+    by DuckDB, late rows included."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data
+    from searchengine_ray.pipelines.events import (
+        sql_streaming_windowed_agg, streaming_windowed_agg)
+    H = 3_600_000_000
+    rng = np.random.default_rng(5)
+    n = 600
+    ids = np.arange(n, dtype=np.int64)
+    # whole minutes, so the watermark often sits exactly on a window end
+    # plus the lateness — the boundary of the late rule
+    M = 60_000_000
+    ts = 10 * H + M * np.cumsum(rng.integers(0, 3, size=n))
+    # every 9th arrival is a straggler from up to 4 min before a boundary
+    strag = ids % 9 == 4
+    ts[strag] = (ts[strag] // H) * H - M * rng.integers(0, 5,
+                                                        size=strag.sum())
+    t = pa.table({
+        "event_id": pa.array(ids),
+        "ts": pa.array(ts, type=pa.int64()).cast(pa.timestamp("us")),
+        "event_type": pa.array([f"t{i % 2}" for i in range(n)]),
+        "value": pa.array(rng.uniform(0, 5, size=n), type=pa.float64()),
+    })
+    blocks = [t.take(rng.permutation(np.flatnonzero(ids % 4 == b)))
+              for b in range(4)]
+    ds = ray.data.from_arrow(blocks)
+    assert ds.num_blocks() == 4
+
+    def key(rows):
+        return sorted((int(r["window_start_us"]), r["event_type"],
+                       int(r["is_late"]), int(r["n_events"]),
+                       int(r["sum_value_c"])) for r in rows)
+
+    con = duckdb.connect()
+    con.register("events", t)
+    for lateness in (0, M):
+        want = key(con.execute(sql_streaming_windowed_agg(lateness))
+                   .df().to_dict("records"))
+        assert any(w[2] == 1 and w[3] > 0 for w in want), lateness
+        for shard_events in (None, 1, 7, 64):
+            got = key(streaming_windowed_agg(
+                ds, lateness_us=lateness,
+                shard_events=shard_events).take_all())
+            assert got == want, (lateness, shard_events)
+
+
+def _empty_cases():
+    from searchengine_ray.pipelines import events as ev
+    day = ev.DAY_US
+    rank = {"event_id": "int64", "rnk": "int64"}
+    prank = {"event_id": "int64", "prank_r": "double"}
+    return {
+        "sessionize": (lambda d: ev.sessionize(d), None),
+        "sessionize_sharded": (lambda d: ev.sessionize(d, shard_us=day),
+                               None),
+        "streaming": (lambda d: ev.streaming_windowed_agg(d), None),
+        "streaming_sharded": (lambda d: ev.streaming_windowed_agg(
+            d, shard_events=7), None),
+        "asof": (lambda d: ev.asof_join_prior(d), None),
+        "asof_sharded": (lambda d: ev.asof_join_prior(d, shard_us=day),
+                         None),
+        "global_rank": (lambda d: ev.global_value_rank(d), rank),
+        "global_rank_ranged": (lambda d: ev.global_value_rank(
+            d, num_buckets=8), rank),
+        "percent_rank": (lambda d: ev.global_percent_rank(d), prank),
+        "percent_rank_ranged": (lambda d: ev.global_percent_rank(
+            d, num_buckets=8), prank),
+        "type_rank_ranged": (lambda d: ev.type_value_rank_ranged(d), rank),
+        "rolling_window": (lambda d: ev.rolling_user_window(d), None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_empty_cases()))
+def test_folded_events_operators_on_empty_table(ray_session, name):
+    """An empty events table gives 0 rows and no exception on both plans
+    of every folded operator; the rank family, whose driver sees the
+    empty histogram, also returns its typed schema. The others stay
+    schemaless: their zero-row blocks never reach a group function."""
+    import pyarrow as pa
+    import ray.data
+    fn, schema = _empty_cases()[name]
+    empty = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                       ("ts", pa.timestamp("us")),
+                       ("event_type", pa.string()),
+                       ("value", pa.float64())]).empty_table()
+    out = fn(ray.data.from_arrow(empty))
+    assert out.take_all() == []
+    if schema is not None:
+        got = out.schema()
+        assert dict(zip(got.names, map(str, got.types))) == schema
 
 
 def test_lazy_docstore_identical(built):
@@ -540,15 +636,15 @@ def test_sessionize_salted_equivalent(events_ds):
     """The skew-safe (user, day)-sharded sessionize must produce exactly
     the same sessions as the plain per-user version — including sessions
     that span shard boundaries."""
-    from searchengine_ray.pipelines.events import sessionize, sessionize_salted
+    from searchengine_ray.pipelines.events import sessionize
     plain = sorted(
         ((r["user_id"], r["session_start_us"], r["n_events"], r["duration_us"])
          for r in sessionize(events_ds).take_all()))
     # tiny shards force MANY boundary-spanning sessions (1h shard, 30m gap)
     salted = sorted(
         ((r["user_id"], r["session_start_us"], r["n_events"], r["duration_us"])
-         for r in sessionize_salted(events_ds,
-                                    shard_us=3_600_000_000).take_all()))
+         for r in sessionize(events_ds,
+                             shard_us=3_600_000_000).take_all()))
     assert salted == plain
 
 
@@ -870,13 +966,12 @@ def test_value_range_join_matches_bruteforce(events_ds):
 def test_asof_join_salted_identical(events_ds):
     """The (user, time-shard)-salted as-of join must be output-identical
     to the plain one — tiny shards force MANY cross-shard priors."""
-    from searchengine_ray.pipelines.events import (asof_join_prior,
-                                                   asof_join_prior_salted)
+    from searchengine_ray.pipelines.events import asof_join_prior
     plain = sorted((r["event_id"], r["prior_event_id"], r["gap_us"])
                    for r in asof_join_prior(events_ds).take_all())
     # 1-hour shards: most priors live in an earlier shard (stage-2 path)
     salted = sorted((r["event_id"], r["prior_event_id"], r["gap_us"])
-                    for r in asof_join_prior_salted(
+                    for r in asof_join_prior(
                         events_ds, shard_us=3_600_000_000).take_all())
     assert salted == plain and plain
 
@@ -914,8 +1009,7 @@ def test_asof_join_property(ray_session, rows):
     as-of join both equal the sequential brute force."""
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.events import (asof_join_prior,
-                                                   asof_join_prior_salted)
+    from searchengine_ray.pipelines.events import asof_join_prior
     t = pa.table({
         "event_id": pa.array(range(len(rows)), type=pa.int64()),
         "user_id": pa.array([r[0] for r in rows], type=pa.int64()),
@@ -935,7 +1029,7 @@ def test_asof_join_property(ray_session, rows):
            for r in asof_join_prior(ds).take_all()}
     assert got == want
     got_s = {r["event_id"]: (r["prior_event_id"], r["gap_us"])
-             for r in asof_join_prior_salted(ds, shard_us=16).take_all()}
+             for r in asof_join_prior(ds, shard_us=16).take_all()}
     assert got_s == want
 
 
@@ -1559,7 +1653,7 @@ def test_global_value_rank_ranged_identical_and_bounded_fetch(events_ds,
     monkeypatch.setattr(ray.data.Dataset, "iter_batches", spy)
     for nb in (2, 4, 1000):
         got = sorted((r["event_id"], r["rnk"]) for r in
-                     ev.global_value_rank_ranged(
+                     ev.global_value_rank(
                          events_ds, num_buckets=nb).take_all())
         assert got == want, nb
     n_events = events_ds.count()
@@ -1567,13 +1661,12 @@ def test_global_value_rank_ranged_identical_and_bounded_fetch(events_ds,
 
 
 def test_global_percent_rank_ranged_identical(events_ds):
-    from searchengine_ray.pipelines.events import (
-        global_percent_rank, global_percent_rank_ranged)
+    from searchengine_ray.pipelines.events import global_percent_rank
     want = sorted((r["event_id"], r["prank_r"]) for r in
                   global_percent_rank(events_ds).take_all())
     got = sorted((r["event_id"], r["prank_r"]) for r in
-                 global_percent_rank_ranged(events_ds,
-                                            num_buckets=3).take_all())
+                 global_percent_rank(events_ds,
+                                     num_buckets=3).take_all())
     assert got == want and want
 
 
@@ -1585,7 +1678,7 @@ def test_global_value_rank_ranged_adversarial_domains(ray_session):
     import numpy as np
     import pyarrow as pa
     import ray.data
-    from searchengine_ray.pipelines.events import global_value_rank_ranged
+    from searchengine_ray.pipelines.events import global_value_rank
 
     rng = np.random.default_rng(11)
     domains = {
@@ -1602,7 +1695,7 @@ def test_global_value_rank_ranged_adversarial_domains(ray_session):
         })
         ds = ray.data.from_arrow(t).repartition(5)
         got = {r["event_id"]: r["rnk"] for r in
-               global_value_rank_ranged(ds, num_buckets=7).take_all()}
+               global_value_rank(ds, num_buckets=7).take_all()}
         vc = np.round(vals * 100.0).astype(np.int64)
         assert len(got) == len(vals), name
         for eid in range(0, len(vals), 17):
