@@ -98,7 +98,12 @@ def tokenize_column(arr, cfg: IndexConfig | None = None,
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     norm = normalize_column(arr)
-    lists = pc.utf8_split_whitespace(norm)
+    # the chain leaves ASCII only (RE2's \w and \s are ASCII classes), so
+    # the ASCII splitter is exact. utf8_split_whitespace is not: it reads
+    # past the end of the data buffer, and an invalid UTF-8 byte there
+    # keeps a trailing space on the column's last token (pinned in
+    # test_tokenizer.py)
+    lists = pc.ascii_split_whitespace(norm)
     if isinstance(lists, pa.ChunkedArray):
         lists = lists.combine_chunks()
     parents = pc.list_parent_indices(lists)

@@ -876,29 +876,33 @@ def lsh_verified_pairs(ds: "ray.data.Dataset", n: int = 3,
     the candidates (SlimPajama/RefinedWeb's two-phase recipe — the
     sketch recalls, the exact check decides).
 
-    Candidate cost is :func:`minhash_lsh_pairs` (banded, capped);
-    verification ships each candidate pair's a-side shingle rows ONCE
-    (an int64 equi-join pairs × shingles/doc expansion — the inherent
-    verify cost), then ONE (doc, shingle)-keyed union-shuffle marks
-    which of those shingles the b-side also holds (in-partition
-    dictionary-encode + structured-key searchsorted, no Python loop),
-    partial (a, b) counts reduce to exact intersections, and per-doc
-    set sizes attach by two more int64 equi-joins to finish
-    ``jaccard_u = inter·10^6 // uni ≥ tau_u``. Pairs whose true overlap
-    is empty vanish in the inner join — same as the oracle.
+    Candidate cost is :func:`minhash_lsh_pairs` (banded, capped).
+    Verification is one int64 equi-join plus ONE doc-keyed shuffle:
+    the join ships each candidate pair's a-side shingle rows once (the
+    inherent verify cost, pairs × shingles/doc), and those probe rows,
+    addressed to the b-side doc, ride one ``grouped_aggregate`` keyed by
+    doc together with every corpus shingle row. A partition then holds
+    all of b's shingles and every probe aimed at b, so the exact answer
+    is local: |a| = the pair's probe rows (the join carries all of a's
+    distinct shingles), |b| = b's corpus rows, |a ∩ b| = probes that
+    hit b's (doc, shingle-code) keys (in-partition dictionary-encode +
+    structured-key searchsorted, no Python loop), and
+    ``jaccard_u = inter·10^6 // uni ≥ tau_u`` with uni = |a| + |b| −
+    inter. Pairs with no common shingle are dropped, as the oracle's
+    inner join drops them. Candidate pairs must be distinct (as
+    :func:`minhash_lsh_pairs` emits them). Skew: a doc that is the
+    b-side of many pairs receives all their probe rows; ``max_bucket``
+    bounds the pairs a bucket emits.
 
     Columns: a_id, b_id, inter, uni, jaccard_u (int64).
     """
     from searchengine_ray.pipelines.common import grouped_aggregate
     from searchengine_ray.pipelines.join import equi_join
 
-    # both intermediates are consumed by MULTIPLE downstream stages —
-    # materialize once or every consumer re-executes the whole upstream
-    # DAG (measured 60 s → 9 s at sf0.1). cands is candidate-bounded;
-    # sh is O(corpus tokens) but spill-safe, and three lazy recomputes
-    # of the tokenize+shingle pass cost strictly more than one pinned
-    # copy at any scale. Both accept precomputed MATERIALIZED handles so
-    # a gate/suite shares them across entries (driver_api.shared_*).
+    # both inputs feed two stages (cands the join; sh the join AND the
+    # verify union) — materialize once or each consumer re-executes the
+    # tokenize/LSH upstream. Both accept precomputed MATERIALIZED handles
+    # so a gate/suite shares them across entries (driver_api.shared_*).
     if cands is None:
         cands = minhash_lsh_pairs(ds, n, num_perm, bands, tau, seed,
                                   max_bucket, text_col, id_col,
@@ -906,122 +910,62 @@ def lsh_verified_pairs(ds: "ray.data.Dataset", n: int = 3,
     if sh is None:
         sh = shingles(ds, n, text_col, id_col).materialize()
 
-    # per-doc distinct-shingle sizes (one row per doc after the reduce)
-    def size_part(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["doc_id"], use_threads=False) \
-                 .aggregate([("shingle", "count")])
-        return pa.table({"doc_id": g["doc_id"],
-                         "psz": pc.cast(g["shingle_count"], pa.int64())})
-
-    def size_sum(part: pa.Table) -> pa.Table:
-        g = part.group_by(["doc_id"], use_threads=False) \
-                .aggregate([("psz", "sum")])
-        return pa.table({"doc_id": g["doc_id"],
-                         "sz": pc.cast(g["psz_sum"], pa.int64())})
-
-    # id-width (doc, sz) rows, consumed by TWO joins — pin it (the
-    # groupby-chain re-execution hazard: each downstream groupby
-    # samples + shuffles its lazy upstream AGAIN; see graph.py:334)
-    sizes = grouped_aggregate(sh.map_batches(size_part,
-                                             batch_format="pyarrow"),
-                              ["doc_id"], size_sum).materialize()
-
-    # expand: each candidate pair picks up the a-side's shingle rows —
-    # candidate-bounded (pairs × shingles/doc), pinned for the same
-    # re-execution reason
+    # pinned so that no branch of the union below carries its own
+    # shuffle: at one CPU a union whose branch is a lazy all-to-all can
+    # wait on itself (the labels-plan stall of graph.connected_components)
     expanded = equi_join(cands, sh, "a_id", "doc_id",
                          ["b_id"], ["shingle"]).materialize()
 
+    # probe rows carry their a-side id; corpus rows carry a NULL one
     def tag_probe(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc": pc.cast(batch["b_id"], pa.int64()),
-            "shingle": batch["shingle"],
-            "a_id": pc.cast(batch["key"], pa.int64()),
-            "side": pa.array(np.ones(len(batch), dtype=np.int64)),
-        })
+        return pa.table({"doc": pc.cast(batch["b_id"], pa.int64()),
+                         "shingle": batch["shingle"],
+                         "a_id": pc.cast(batch["key"], pa.int64())})
 
     def tag_corpus(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc": pc.cast(batch["doc_id"], pa.int64()),
-            "shingle": batch["shingle"],
-            "a_id": pa.nulls(len(batch), type=pa.int64()),
-            "side": pa.array(np.zeros(len(batch), dtype=np.int64)),
-        })
+        return pa.table({"doc": pc.cast(batch["doc_id"], pa.int64()),
+                         "shingle": batch["shingle"],
+                         "a_id": pa.nulls(len(batch), type=pa.int64())})
 
     def _pack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = np.empty(len(a), dtype=[("a", np.int64), ("b", np.int64)])
         k["a"], k["b"] = a, b
         return k
 
-    def mark(part: pa.Table) -> pa.Table:
-        empty = pa.table({"a_id": pa.array([], type=pa.int64()),
-                          "b_id": pa.array([], type=pa.int64()),
-                          "pinter": pa.array([], type=pa.int64())})
-        side = part["side"].to_numpy(zero_copy_only=False)
-        probe = side == 1
-        if not probe.any() or probe.all():
-            return empty
+    def verify(part: pa.Table) -> pa.Table:
+        is_probe = pc.is_valid(part["a_id"])
+        probe = is_probe.to_numpy(zero_copy_only=False)
         doc = part["doc"].to_numpy(zero_copy_only=False)
         code = pc.dictionary_encode(part["shingle"].combine_chunks()) \
             .indices.to_numpy(zero_copy_only=False).astype(np.int64)
         corpus_keys = np.sort(_pack2(doc[~probe], code[~probe]))
         probe_keys = _pack2(doc[probe], code[probe])
-        pos = np.searchsorted(corpus_keys, probe_keys)
-        pos_c = np.minimum(pos, len(corpus_keys) - 1)
-        hit = (pos < len(corpus_keys)) & (corpus_keys[pos_c] == probe_keys)
-        if not hit.any():
-            return empty
-        a = part["a_id"].to_numpy(zero_copy_only=False)[probe][hit]
-        b = doc[probe][hit]
-        u, c = np.unique(_pack2(a, b), return_counts=True)
-        return pa.table({"a_id": pa.array(u["a"]), "b_id": pa.array(u["b"]),
-                         "pinter": pa.array(c.astype(np.int64))})
+        pos = np.minimum(np.searchsorted(corpus_keys, probe_keys),
+                         len(corpus_keys) - 1)
+        hit = (corpus_keys[pos] == probe_keys) if len(corpus_keys) else \
+            np.zeros(len(probe_keys), dtype=bool)
+        a = part["a_id"].filter(is_probe).to_numpy(zero_copy_only=False)
+        pairs, inv = np.unique(_pack2(a, probe_keys["a"]),
+                               return_inverse=True)
+        sz_a = np.bincount(inv, minlength=len(pairs))
+        inter = np.bincount(inv[hit], minlength=len(pairs))
+        cdoc = corpus_keys["a"]          # sorted: b's rows are one run
+        sz_b = (np.searchsorted(cdoc, pairs["b"], side="right")
+                - np.searchsorted(cdoc, pairs["b"], side="left"))
+        uni = sz_a + sz_b - inter
+        jac = (inter * JACCARD_SCALE) // uni    # uni ≥ |a| ≥ 1
+        keep = (inter > 0) & (jac >= tau_u)
+        return pa.table({
+            "a_id": pa.array(pairs["a"][keep], type=pa.int64()),
+            "b_id": pa.array(pairs["b"][keep], type=pa.int64()),
+            "inter": pa.array(inter[keep], type=pa.int64()),
+            "uni": pa.array(uni[keep], type=pa.int64()),
+            "jaccard_u": pa.array(jac[keep], type=pa.int64()),
+        })
 
     unioned = (expanded.map_batches(tag_probe, batch_format="pyarrow")
                .union(sh.map_batches(tag_corpus, batch_format="pyarrow")))
-    partials = grouped_aggregate(unioned, ["doc", "shingle"],
-                                 mark).materialize()
-
-    def inter_sum(part: pa.Table) -> pa.Table:
-        g = part.group_by(["a_id", "b_id"], use_threads=False) \
-                .aggregate([("pinter", "sum")])
-        return pa.table({"a_id": g["a_id"], "b_id": g["b_id"],
-                         "inter": pc.cast(g["pinter_sum"], pa.int64())})
-
-    # candidate-bounded (a, b, inter) rows — pin before the join chain
-    # so the two equi_joins don't re-execute the mark/shuffle lineage
-    inter = grouped_aggregate(partials, ["a_id", "b_id"],
-                              inter_sum).materialize()
-
-    j1 = equi_join(inter, sizes, "a_id", "doc_id",
-                   ["b_id", "inter"], ["sz"])
-
-    def rename1(batch: pa.Table) -> pa.Table:
-        return pa.table({"a_id": batch["key"], "b_id": batch["b_id"],
-                         "inter": batch["inter"], "sz_a": batch["sz"]})
-
-    j2 = equi_join(j1.map_batches(rename1,
-                                  batch_format="pyarrow").materialize(),
-                   sizes, "b_id", "doc_id",
-                   ["a_id", "inter", "sz_a"], ["sz"])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        inter_v = batch["inter"].to_numpy(zero_copy_only=False)
-        uni = (batch["sz_a"].to_numpy(zero_copy_only=False)
-               + batch["sz"].to_numpy(zero_copy_only=False) - inter_v)
-        jac = (inter_v * JACCARD_SCALE) // uni
-        keep = jac >= tau_u
-        return pa.table({
-            "a_id": pa.array(batch["a_id"]
-                             .to_numpy(zero_copy_only=False)[keep]),
-            "b_id": pa.array(batch["key"]
-                             .to_numpy(zero_copy_only=False)[keep]),
-            "inter": pa.array(inter_v[keep]),
-            "uni": pa.array(uni[keep]),
-            "jaccard_u": pa.array(jac[keep]),
-        })
-
-    return j2.map_batches(finish, batch_format="pyarrow")
+    return grouped_aggregate(unioned, ["doc"], verify)
 
 
 PAIR_PACK = np.int64(1) << np.int64(32)

@@ -232,7 +232,10 @@ def _orig_id_from_title(title: str) -> int:
 # sf_dir (same pattern as ensure_index): the first entry pays the build,
 # later entries read pinned blocks. Opt-in at the operator level (every
 # pipeline function still computes its own intermediates when none is
-# passed); cache lifetime is the driver session, keyed by (sf_dir, kind).
+# passed). Keyed by (sf_dir, kind), and only the most recent sf_dir's
+# entries are kept: a caller that moves on to a new table directory (a
+# benchmark pass, a second scale factor) releases the previous
+# directory's pinned blocks instead of holding them for the session.
 
 _SHARED_DEDUP: dict = {}
 
@@ -240,6 +243,8 @@ _SHARED_DEDUP: dict = {}
 def _shared(key: tuple, build) -> "ray.data.Dataset":
     ds = _SHARED_DEDUP.get(key)
     if ds is None:
+        for k in [k for k in _SHARED_DEDUP if k[0] != key[0]]:
+            del _SHARED_DEDUP[k]
         ds = build().materialize()
         _SHARED_DEDUP[key] = ds
     return ds

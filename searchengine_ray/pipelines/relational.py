@@ -130,6 +130,25 @@ GROUP BY l_returnflag, l_linestatus
 """
 
 
+# Output schemas of the prep_* maps that feed equi_join (one per join
+# side that is a lazy map): equi_join reads a side's schema for its typed
+# NULL columns, and without one it probes Dataset.schema(), which
+# executes part of the lazy side once before the real run.
+_I64, _STR = pa.int64(), pa.string()
+_CUSTKEY = pa.schema([("c_custkey", _I64)])
+_Q3_ORDERS = pa.schema([("o_custkey", _I64), ("o_orderkey", _I64),
+                        ("o_orderdate_us", _I64),
+                        ("o_orderpriority", _STR)])
+_LINE_REV = pa.schema([("l_orderkey", _I64), ("rev_e4", _I64)])
+_Q5_ORDERS = pa.schema([("o_custkey", _I64), ("o_orderkey", _I64)])
+_Q5_CUST = pa.schema([("c_custkey", _I64), ("c_nationkey", _I64)])
+_Q5_LINE = pa.schema([("l_orderkey", _I64), ("s_nationkey", _I64),
+                      ("rev_e4", _I64)])
+_Q18_ORDERS = pa.schema([("o_orderkey", _I64), ("o_custkey", _I64),
+                         ("o_orderdate_us", _I64)])
+_Q18_CUST = pa.schema([("c_custkey", _I64), ("c_name", _STR)])
+
+
 def top_unshipped_orders(lineitem: "ray.data.Dataset",
                          orders: "ray.data.Dataset",
                          customer: "ray.data.Dataset",
@@ -189,16 +208,18 @@ def top_unshipped_orders(lineitem: "ray.data.Dataset",
 
     ordsel = orders.map_batches(prep_orders, batch_format="pyarrow")
     custsel = customer.map_batches(prep_cust, batch_format="pyarrow")
-    # semi join: orders of segment customers, emitted once each
-    # pinned: the next equi_join's schema probe would otherwise EXECUTE
-    # this whole join once and the main run a second time (measured
-    # 2.5 s of q3's 13 s at sf0.1); the output is id-width digest rows
+    # semi join: orders of segment customers, emitted once each.
+    # Pinned: it is a branch of the fact join's union, which must not
+    # carry its own shuffle. Static prep_* schemas skip the probes.
     ord_semi = equi_join(ordsel, custsel, "o_custkey", "c_custkey",
                          ["o_orderkey", "o_orderdate_us",
-                          "o_orderpriority"], [], how="semi").materialize()
+                          "o_orderpriority"], [], how="semi",
+                         left_schema=_Q3_ORDERS,
+                         right_schema=_CUSTKEY).materialize()
     linesel = lineitem.map_batches(prep_line, batch_format="pyarrow")
     joined = equi_join(linesel, ord_semi, "l_orderkey", "o_orderkey",
-                       ["rev_e4"], ["o_orderdate_us", "o_orderpriority"])
+                       ["rev_e4"], ["o_orderdate_us", "o_orderpriority"],
+                       left_schema=_LINE_REV)
 
     def sum_orders(part: pa.Table) -> pa.Table:
         g = (part.group_by(["key", "o_orderdate_us", "o_orderpriority"],
@@ -360,12 +381,16 @@ def local_supplier_revenue(lineitem: "ray.data.Dataset",
     ordsel = orders.map_batches(prep_orders, batch_format="pyarrow")
     custsel = customer.map_batches(prep_cust, batch_format="pyarrow")
     # orders ⋈ customer (distributed): (key=custkey, o_orderkey, c_nationkey)
-    # pinned: consumed by the fact join's schema probe AND its run
+    # pinned: a union branch of the fact join must not carry its own
+    # shuffle; static prep_* schemas skip the schema probes
     oc = equi_join(ordsel, custsel, "o_custkey", "c_custkey",
-                   ["o_orderkey"], ["c_nationkey"]).materialize()
+                   ["o_orderkey"], ["c_nationkey"],
+                   left_schema=_Q5_ORDERS,
+                   right_schema=_Q5_CUST).materialize()
     linesel = lineitem.map_batches(prep_line, batch_format="pyarrow")
     joined = equi_join(linesel, oc, "l_orderkey", "o_orderkey",
-                       ["s_nationkey", "rev_e4"], ["c_nationkey"])
+                       ["s_nationkey", "rev_e4"], ["c_nationkey"],
+                       left_schema=_Q5_LINE)
 
     def partial(batch: pa.Table) -> pa.Table:
         sn_ = pc.cast(batch["s_nationkey"], pa.int64()) \
@@ -474,14 +499,15 @@ def large_orders(lineitem: "ray.data.Dataset",
         })
 
     partials = lineitem.map_batches(partial, batch_format="pyarrow")
-    # pinned: each downstream equi_join's schema probe would re-execute
-    # the whole upstream shuffle (see top_unshipped_orders note)
+    # pinned: a union branch of the next join must not carry its own
+    # shuffle; static prep_* schemas skip the joins' schema probes
     qualifying = grouped_aggregate(partials, ["l_orderkey"],
                                    final).materialize()
     ordsel = orders.map_batches(prep_orders, batch_format="pyarrow")
     with_orders = equi_join(qualifying, ordsel,
                             "l_orderkey", "o_orderkey",
-                            ["sum_qty"], ["o_custkey", "o_orderdate_us"])
+                            ["sum_qty"], ["o_custkey", "o_orderdate_us"],
+                            right_schema=_Q18_ORDERS)
 
     def rekey(batch: pa.Table) -> pa.Table:
         # the first join's key column IS the orderkey; give it its
@@ -495,7 +521,7 @@ def large_orders(lineitem: "ray.data.Dataset",
                            rekey, batch_format="pyarrow").materialize(),
                        custsel, "o_custkey", "c_custkey",
                        ["o_orderkey", "sum_qty", "o_orderdate_us"],
-                       ["c_name"])
+                       ["c_name"], right_schema=_Q18_CUST)
 
     def shape(batch: pa.Table) -> pa.Table:
         return pa.table({

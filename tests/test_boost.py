@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from searchengine_ray.functions.tokenizer import prepare_query
@@ -62,17 +62,20 @@ def _solve_base(eng, doc_id, toks, query, target):
     return None
 
 
-def _plant_tie(eng, ids, base, toks, query, k):
+def _plant_tie(eng, ids, base, toks, query, k, below=False):
     """Re-solve one candidate's base so that its exact boosted score ties
     the k-th best one while its doc_id is smaller: the tie-break must put
-    it in the top-k. Candidates whose snippet holds every pattern and
-    whose title and meta miss the phrase are tried first (their score is
-    exactly their upper bound, and the snippet decides it)."""
+    it in the top-k. With ``below``, the score is one ulp under the k-th
+    instead (it can still tie it after max normalization). Candidates
+    whose snippet holds every pattern and whose title and meta miss the
+    phrase are tried first (their score is exactly their upper bound,
+    and the snippet decides it)."""
     exact = eng._apply_boosts(ids, base, toks, query)
     order = np.lexsort((ids, -exact))
     if len(order) <= k or exact[order[k - 1]] <= 0:
         return base
     kth = order[k - 1]
+    target = np.nextafter(exact[kth], -np.inf) if below else exact[kth]
     pats = [query] + toks
 
     def open_first(i):
@@ -83,7 +86,7 @@ def _plant_tie(eng, ids, base, toks, query, k):
 
     for i in sorted((i for i in order[k:] if ids[i] < ids[kth]),
                     key=open_first):
-        b = _solve_base(eng, ids[i], toks, query, exact[kth])
+        b = _solve_base(eng, ids[i], toks, query, target)
         if b is not None:
             base = base.copy()
             base[i] = b
@@ -107,9 +110,11 @@ def test_staged_boost_topk_equals_full_boost(engine, built, data):
     base = np.array(data.draw(st.one_of(
         st.lists(value, min_size=n, max_size=n),
         value.map(lambda v: [v] * n)), label="base"), dtype=np.float64)
-    plant = data.draw(st.booleans(), label="plant_tie")
+    plant = data.draw(st.sampled_from(["none", "tie", "ulp_below"]),
+                      label="plant")
     for k in (1, 5, 20):
-        b = _plant_tie(engine, ids, base, toks, oq, k) if plant else base
+        b = base if plant == "none" else _plant_tie(
+            engine, ids, base, toks, oq, k, below=plant == "ulp_below")
         got = engine._finish_search(ids, b.copy(), toks, oq, k)
         assert [(r["doc_id"], r["score"].hex()) for r in got] == \
             _full_boost_topk(engine, ids, b, toks, oq, k), (query, k)
@@ -148,6 +153,54 @@ def test_staged_boost_topk_keeps_exact_tie_at_kth(engine, built, k):
     assert [(r["doc_id"], r["score"].hex()) for r in got] == \
         _full_boost_topk(engine, ids, base, toks, q, k)
     assert got[0]["doc_id"] == int(engine._doc_ids[b])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(k=st.integers(2, 6), a_base=st.floats(0.5, 20.0),
+       ratio=st.floats(1.01, 8.0))
+def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
+                                                       a_base, ratio):
+    """The prune step is one ulp below the k-th score, and that ulp is
+    load-bearing: a doc exactly 1 ulp under the k-th score can tie it
+    after max normalization. Here k title docs (scores fixed without the
+    snippet, so the k-th score is known before any scan) lead, and a
+    snippet-only doc with a smaller doc_id (its exact score equals its
+    upper bound) sits 1 ulp under the k-th; the top doc's base is
+    stepped until the normalized scores tie. Full boost then ranks the
+    planted doc into the top-k on doc_id, and the staged bound must not
+    have pruned it."""
+    _, toks, q = prepare_query("rs", built.cfg)
+    n = len(engine._doc_ids)
+    title = [str(v).lower() for v in engine._title]
+    meta = [str(v).lower() for v in engine._meta]
+    snip = [str(v).lower() for v in engine._snippet]
+    b = next(j for j in range(n)
+             if q in snip[j] and q not in title[j] and q not in meta[j])
+    lead = [j for j in range(b + 1, n)
+            if q in title[j] and q not in meta[j]][:k]
+    rest = [j for j in range(n) if j != b and j not in lead][:40]
+    assert len(lead) == k
+    rows = np.array(sorted([b] + lead + rest))
+    ids = engine._doc_ids[rows]
+    base = np.where(np.isin(rows, lead), a_base, a_base / 50)
+    y = engine._apply_boosts(engine._doc_ids[[lead[1]]], np.array([a_base]),
+                             toks, q)[0]
+    below = np.nextafter(y, -np.inf)
+    solved = _solve_base(engine, engine._doc_ids[b], toks, q, below)
+    assume(solved is not None)
+    base[rows == b] = solved
+    # step the top doc's base until below/max == y/max in floating point
+    tops = a_base * ratio * (1.0 + np.arange(512) * 2.0 ** -40)
+    m = engine._apply_boosts(np.repeat(engine._doc_ids[[lead[0]]], 512),
+                             tops, toks, q)
+    tie = np.flatnonzero((below / m == y / m) & (m > y))
+    assume(tie.size > 0)
+    base[rows == lead[0]] = tops[tie[0]]
+    got = engine._finish_search(ids, base.copy(), toks, q, k)
+    assert [(r["doc_id"], r["score"].hex()) for r in got] == \
+        _full_boost_topk(engine, ids, base, toks, q, k)
+    assert int(engine._doc_ids[b]) in [r["doc_id"] for r in got]
 
 
 def test_boost_counters_in_wand_stats(engine):

@@ -2552,13 +2552,41 @@ def test_chunk_dedup_rewrite_vs_brute_force_testdata(ray_session):
         assert k + dr == -(-n // 10)
 
 
+def _shingle_sets(ids, texts, n: int = 3) -> dict[int, set]:
+    """Brute-force distinct word-n-gram sets in the tokenize() space."""
+    from searchengine_ray.functions.arrow_tokenize import tokenize_column
+    sets = {}
+    for did, txt in zip(ids, texts):
+        _, toks = tokenize_column(pa.table({"t": pa.array([txt])})["t"],
+                                  None, apply_filter=False)
+        words = toks.to_pylist()
+        sets[did] = {" ".join(words[i:i + n])
+                     for i in range(len(words) - n + 1)}
+    return sets
+
+
+def _verified_brute(sets: dict[int, set], pairs, tau_u: int) -> dict:
+    """{(a, b): (inter, uni, jaccard_u)} of the candidate pairs whose
+    exact shingle Jaccard is ≥ tau_u; pairs with no common shingle drop."""
+    from searchengine_ray.pipelines.dedup import JACCARD_SCALE
+    want = {}
+    for a, b in pairs:
+        inter = len(sets[a] & sets[b])
+        if inter == 0:
+            continue
+        uni = len(sets[a] | sets[b])
+        jac = (inter * JACCARD_SCALE) // uni
+        if jac >= tau_u:
+            want[(a, b)] = (inter, uni, jac)
+    return want
+
+
 def test_lsh_verified_pairs_vs_brute_force(ray_session):
     """Verified pairs must be exactly {LSH candidates with TRUE shingle
     Jaccard >= tau_u}, with inter/uni computed on the real sets."""
     import ray.data
-    from searchengine_ray.functions.arrow_tokenize import tokenize_column
-    from searchengine_ray.pipelines.dedup import (
-        JACCARD_SCALE, lsh_verified_pairs, minhash_lsh_pairs)
+    from searchengine_ray.pipelines.dedup import (lsh_verified_pairs,
+                                                  minhash_lsh_pairs)
 
     ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet",
                                columns=["doc_id", "text"])
@@ -2571,23 +2599,93 @@ def test_lsh_verified_pairs_vs_brute_force(ray_session):
     import pandas as pd
     df = pd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                          columns=["doc_id", "text"])
-    sets: dict[int, set] = {}
-    for did, txt in zip(df["doc_id"].astype(int), df["text"]):
-        tbl = pa.table({"t": pa.array([txt])})
-        _, toks = tokenize_column(tbl["t"], None, apply_filter=False)
-        words = toks.to_pylist()
-        sets[did] = {" ".join(words[i:i + 3])
-                     for i in range(len(words) - 2)}
-    want = {}
-    for a, b in cands:
-        inter = len(sets[a] & sets[b])
-        if inter == 0:
-            continue
-        uni = len(sets[a] | sets[b])
-        jac = (inter * JACCARD_SCALE) // uni
-        if jac >= 500_000:
-            want[(a, b)] = (inter, uni, jac)
+    sets = _shingle_sets(df["doc_id"].astype(int), df["text"])
+    assert got == _verified_brute(sets, cands, 500_000)
+
+
+_VERIFIED_SCHEMA = pa.schema([(c, pa.int64()) for c in
+                              ("a_id", "b_id", "inter", "uni", "jaccard_u")])
+
+
+@hyp_settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_lsh_verified_pairs_adversarial_vs_brute_force(ray_session, data):
+    """Exact verification of hand-built candidates against brute-force
+    shingle sets. Every example holds an empty text, a doc with fewer
+    than 3 tokens (no shingles), an exact duplicate, a disjoint doc
+    (zero-overlap pairs), a doc that is the b-side of many pairs and
+    candidates whose a-side has no shingles."""
+    import ray.data
+    from searchengine_ray.pipelines.dedup import (
+        JACCARD_SCALE, lsh_verified_pairs, shingles)
+
+    word = st.sampled_from(["alpha", "beta", "gamma", "delta"])
+    texts = data.draw(st.lists(st.lists(word, max_size=14).map(" ".join),
+                               min_size=2, max_size=7), label="texts")
+    texts += ["", "alpha beta", texts[0], "zeta eta theta iota"]
+    n = len(texts)
+    ids = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n,
+                             max_size=n, unique=True), label="ids")
+    empty, short, dup, far = n - 4, n - 3, n - 2, n - 1
+    hub = data.draw(st.integers(0, n - 1), label="hub")
+    idx = {(i, hub) for i in range(n) if i != hub}
+    idx |= {(empty, 0), (short, 0), (0, dup), (far, 0), (1, far)}
+    idx |= data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1))
+                             .filter(lambda t: t[0] != t[1]),
+                             max_size=10), label="extra")
+    tau_u = data.draw(st.sampled_from([0, 1, 500_000, JACCARD_SCALE]),
+                      label="tau_u")
+    pairs = sorted((ids[a], ids[b]) for a, b in idx)
+    cands = ray.data.from_arrow(pa.table({
+        "a_id": pa.array([a for a, _ in pairs], type=pa.int64()),
+        "b_id": pa.array([b for _, b in pairs], type=pa.int64()),
+        "est_matches": pa.array(np.arange(len(pairs)), type=pa.int64())}))
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(ids, type=pa.int64()),
+        "text": pa.array(texts, type=pa.string())}))
+    out = lsh_verified_pairs(docs, tau_u=tau_u, cands=cands,
+                             sh=shingles(docs).materialize()).materialize()
+    got = {(r["a_id"], r["b_id"]): (r["inter"], r["uni"], r["jaccard_u"])
+           for r in out.take_all()}
+
+    want = _verified_brute(_shingle_sets(ids, texts), pairs, tau_u)
     assert got == want
+    assert out.count() == len(want)
+    if want:
+        assert out.schema().base_schema == _VERIFIED_SCHEMA
+
+
+def test_lsh_verified_pairs_plan_shape(ray_session, monkeypatch):
+    """Verification of shared (materialized) candidates and shingles is
+    one equi-join plus one doc-keyed grouped_aggregate: at most two
+    groupby stages and one pin while the plan is built."""
+    import ray.data
+    from searchengine_ray.pipelines.dedup import (
+        lsh_verified_pairs, minhash_lsh_pairs, shingles)
+
+    ds = ray.data.from_arrow(docs_table())
+    cands = minhash_lsh_pairs(ds, family="m31").materialize()
+    sh = shingles(ds).materialize()
+    calls = {"groupby": 0, "materialize": 0}
+
+    def counted(name):
+        orig = getattr(ray.data.Dataset, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return orig(self, *args, **kwargs)
+        monkeypatch.setattr(ray.data.Dataset, name, wrapper)
+
+    counted("groupby")
+    counted("materialize")
+    out = lsh_verified_pairs(ds, family="m31", cands=cands, sh=sh)
+    assert calls["groupby"] <= 2, calls
+    assert calls["materialize"] <= 1, calls
+    monkeypatch.undo()
+    assert out.count() > 0
 
 
 def test_label_centroids_matches_bruteforce(ray_session):
@@ -2953,6 +3051,128 @@ def test_large_orders_matches_pandas(ray_session):
     got = {(r["c_name"], r["o_orderkey"], r["o_orderdate_us"],
             r["sum_qty"]) for r in rows}
     assert got == want and len(rows) == len(want) and got
+
+
+def _tiny_tpch() -> dict:
+    """Two or three rows per TPC-H table, enough for q3 (segment
+    BUILDING, ordered before and shipped after 1998-03-15), q5 (region
+    ASIA, supplier and customer in one nation) and q18 (an order above
+    150 units) to return rows."""
+    import ray.data
+
+    def ts(*days):
+        return pa.array(np.array(days, dtype="datetime64[us]"))
+
+    tables = {
+        "region": {"r_regionkey": [0], "r_name": ["ASIA"]},
+        "nation": {"n_nationkey": [7], "n_name": ["CHINA"],
+                   "n_regionkey": [0]},
+        "supplier": {"s_suppkey": [1], "s_nationkey": [7]},
+        "customer": {"c_custkey": [1, 2],
+                     "c_mktsegment": ["BUILDING", "MACHINERY"],
+                     "c_nationkey": [7, 7],
+                     "c_name": ["Customer#1", "Customer#2"]},
+        "orders": {"o_orderkey": [10, 11], "o_custkey": [1, 2],
+                   "o_orderdate": ts("1997-06-01", "1997-07-01"),
+                   "o_orderpriority": ["1-URGENT", "2-HIGH"]},
+        "lineitem": {"l_orderkey": [10, 10, 11], "l_suppkey": [1, 1, 1],
+                     "l_extendedprice": [100.0, 200.0, 50.0],
+                     "l_discount": [0.05, 0.0, 0.1],
+                     "l_quantity": [100.0, 60.0, 10.0],
+                     "l_shipdate": ts("1998-04-01", "1998-05-01",
+                                      "1998-06-01")},
+    }
+    return {t: ray.data.from_arrow(pa.table(cols))
+            for t, cols in tables.items()}
+
+
+def test_tpch_join_plans_skip_schema_probes(ray_session, monkeypatch):
+    """q3, q5 and q18 pass their prep_* schemas to equi_join: building
+    the plans asks no lazy Dataset to fetch its schema (each such call
+    runs a partial execution of that side before the real run)."""
+    import ray.data
+    from searchengine_ray.pipelines import relational
+
+    lazy_probes = []
+    orig = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing: bool = True):
+        # fetch_if_missing=False (Ray's own groupby key check) never runs
+        if fetch_if_missing and not self._plan.has_computed_output():
+            lazy_probes.append(self._plan._logical_plan.dag.name)
+        return orig(self, fetch_if_missing)
+
+    t = _tiny_tpch()
+    monkeypatch.setattr(ray.data.Dataset, "schema", schema)
+    plans = [
+        relational.top_unshipped_orders(t["lineitem"], t["orders"],
+                                        t["customer"]),
+        relational.local_supplier_revenue(
+            t["lineitem"], t["orders"], t["customer"], t["supplier"],
+            t["nation"], t["region"]),
+        relational.large_orders(t["lineitem"], t["orders"],
+                                t["customer"]),
+    ]
+    assert lazy_probes == []
+    monkeypatch.undo()
+    assert [ds.count() for ds in plans] == [1, 1, 1]
+
+
+def test_shared_dedup_cache_keeps_one_directory(ray_session, monkeypatch):
+    """The shared dedup intermediates are kept for the latest table
+    directory only: a new directory releases the previous one's."""
+    import ray.data
+    from searchengine_ray.pipelines import driver_api
+
+    monkeypatch.setattr(driver_api, "_SHARED_DEDUP", {})
+    cache = driver_api._SHARED_DEDUP
+    built = []
+
+    def build(tag):
+        def fn():
+            built.append(tag)
+            return ray.data.range(3)
+        return fn
+
+    a1 = driver_api._shared(("/a", "shingles"), build("a1"))
+    driver_api._shared(("/a", "minhash_pairs", "m31"), build("a2"))
+    assert driver_api._shared(("/a", "shingles"), build("again")) is a1
+    assert set(cache) == {("/a", "shingles"), ("/a", "minhash_pairs", "m31")}
+    driver_api._shared(("/b", "shingles"), build("b1"))
+    assert set(cache) == {("/b", "shingles")}
+    driver_api._shared(("/b", "simhash_pairs"), build("b2"))
+    assert {k[0] for k in cache} == {"/b"} and len(cache) == 2
+    assert built == ["a1", "a2", "b1", "b2"]
+
+
+def test_selfcheck_retries_ray_system_error_once(capsys):
+    """tools/selfcheck.py runs an entry once more after a Ray-core
+    RaySystemError and prints the retry; a second one propagates, and
+    no other error is retried."""
+    from ray.exceptions import RaySystemError
+    from tools.selfcheck import run_entry
+
+    calls = []
+
+    def flaky(fails, exc=RaySystemError):
+        def fn(sf):
+            calls.append(sf)
+            if len(calls) <= fails:
+                raise exc("raylet CHECK failed")
+            return pa.table({"x": pa.array([1, 2])})
+        return fn
+
+    assert run_entry("e", flaky(1), "sf").x.tolist() == [1, 2]
+    assert calls == ["sf", "sf"]
+    assert "retry e: " in capsys.readouterr().out
+    calls.clear()
+    with pytest.raises(RaySystemError):
+        run_entry("e", flaky(2), "sf")
+    assert len(calls) == 2 and "retry e: " in capsys.readouterr().out
+    calls.clear()
+    with pytest.raises(ValueError):
+        run_entry("e", flaky(1, ValueError), "sf")
+    assert len(calls) == 1 and "retry" not in capsys.readouterr().out
 
 
 def test_promo_revenue_by_month_matches_pandas(ray_session):

@@ -8,6 +8,7 @@ driver-style comparison).
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import example, given, settings
@@ -173,6 +174,28 @@ _text_alphabet = st.characters(
 ).via('discovered failure')
 def test_arrow_matches_python_property(texts):
     assert _arrow_tokens(texts) == [tokenize(t) for t in texts]
+
+
+def test_split_ignores_bytes_past_the_data_buffer(monkeypatch):
+    """tokenize_column splits the normalized column exactly as
+    str.split() whatever lies past the end of its data buffer. pyarrow's
+    utf8_split_whitespace reads that memory: an invalid UTF-8 byte right
+    after a trailing space kept the space on the last token ('fr '),
+    which made the property test below fail at random."""
+    import searchengine_ray.functions.arrow_tokenize as at
+
+    text = b"  dr  7 jc  fr "
+    for garbage in (b"\xff" * 8, b"\x80" * 8, b"\x00" * 8):
+        offsets = np.array([0, len(text)], dtype=np.int32).tobytes()
+        norm = pa.Array.from_buffers(
+            pa.string(), 1,
+            [None, pa.py_buffer(offsets), pa.py_buffer(text + garbage)])
+        monkeypatch.setattr(at, "normalize_column", lambda arr: norm)
+        di, toks = at.tokenize_column(pa.array(["x"]), None,
+                                      apply_filter=False)
+        assert toks.to_pylist() == [t for t in text.decode().split()
+                                    if len(t) > 1], garbage
+        assert di.tolist() == [0, 0, 0]
 
 
 def test_large_string_and_string_mix():

@@ -3,6 +3,12 @@
 Runs every ``__ray_entry__.queries()`` entry at the given sf_dir, runs the
 matching ``oracle_sql()`` in DuckDB over the same parquet tables, and
 compares row count + (name-sorted) schema + order-insensitive values.
+Each ``ok``/``FAIL`` line carries the entry's wall time (the entry call
+plus the fetch of its result), so a plan-shape change can be re-timed
+from one run. An entry that raises ``ray.exceptions.RaySystemError`` (a
+transient Ray-core failure such as a raylet CHECK) is run once more, and
+the retry is printed as ``retry <name>: <error>``; a second failure
+counts.
 
 Usage:  python tools/selfcheck.py [sf_dir] [name ...]
 """
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -66,6 +73,16 @@ def compare(name: str, ours: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
     return problems
 
 
+def run_entry(name: str, fn, sf_dir: str) -> pd.DataFrame:
+    """``fn(sf_dir)`` as a DataFrame, retried once on RaySystemError."""
+    from ray.exceptions import RaySystemError
+    try:
+        return to_pandas(fn(sf_dir))
+    except RaySystemError as ex:
+        print(f"retry {name}: {ex}", flush=True)
+        return to_pandas(fn(sf_dir))
+
+
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -84,28 +101,32 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
-            ours = to_pandas(fn(sf_dir))
+            ours = run_entry(name, fn, sf_dir)
         except Exception as ex:
-            print(f"FAIL {name}: ray raised {type(ex).__name__}: {ex}")
+            print(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
+                  f"ray raised {type(ex).__name__}: {ex}")
             failures += 1
             continue
+        secs = f"({time.perf_counter() - t0:.2f} s)"
         if name not in os_:
-            print(f"ok   {name}: rows-only ({len(ours)} rows, "
+            print(f"ok   {name} {secs}: rows-only ({len(ours)} rows, "
                   f"cols {sorted(ours.columns)})")
             continue
         try:
             oracle = con.execute(os_[name]).df()
         except Exception as ex:
-            print(f"FAIL {name}: sql raised {type(ex).__name__}: {ex}")
+            print(f"FAIL {name} {secs}: sql raised "
+                  f"{type(ex).__name__}: {ex}")
             failures += 1
             continue
         problems = compare(name, ours, oracle)
         if problems:
             failures += 1
-            print(f"FAIL {name}: " + "; ".join(problems))
+            print(f"FAIL {name} {secs}: " + "; ".join(problems))
         else:
-            print(f"ok   {name}: {len(ours)} rows match oracle")
+            print(f"ok   {name} {secs}: {len(ours)} rows match oracle")
     print(f"{failures} failures")
     return 1 if failures else 0
 
