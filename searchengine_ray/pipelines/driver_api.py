@@ -108,59 +108,64 @@ def q_tpch_q3(sf_dir: str):
         _tbl(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
 
 
+def _join_event_totals(sf_dir: str, key: str | list[str],
+                       dim_key: str | list[str], hot_threshold: int,
+                       replicate: int):
+    """Every event joined to its ``key`` group's total cents and event
+    count (``join.equi_join``; the dimension's key columns are renamed
+    to ``dim_key``). The totals are per-batch partial sums that ride
+    the join's own shuffle: ``right_reduce`` finishes them per key in
+    the join partition, so the dimension needs no shuffle of its own.
+    A ``hot_threshold`` > 0 salts the keys with at least that many
+    events (row-identical). Static schemas skip the lazy schema
+    probes."""
+    from searchengine_ray.pipelines.join import (_key_list,
+                                                 detect_hot_keys, equi_join)
+    keys, dim_keys = _key_list(key), _key_list(dim_key)
+    types = {"user_id": pa.int64(), "event_type": pa.string()}
+    totals = ["total_c", "n_events"]
+
+    def sums(t: pa.Table) -> pa.Table:
+        g = t.group_by(dim_keys, use_threads=False) \
+             .aggregate([(c, "sum") for c in totals])
+        return pa.table({**{k: g[k] for k in dim_keys},
+                         **{c: g[f"{c}_sum"] for c in totals}})
+
+    def partial(b: pa.Table) -> pa.Table:
+        vc = np.round(b["value"].to_numpy(zero_copy_only=False)
+                      * 100.0).astype(np.int64)
+        return sums(pa.table({
+            **{d: pc.cast(b[k], types[k]) for k, d in zip(keys, dim_keys)},
+            "total_c": pa.array(vc),
+            "n_events": pa.array(np.ones(len(b), dtype=np.int64))}))
+
+    left = _events(sf_dir, ["event_id"] + keys)
+    dim = _events(sf_dir, keys + ["value"]) \
+        .map_batches(partial, batch_format="pyarrow")
+    hot = detect_hot_keys(left, key, hot_threshold) \
+        if hot_threshold else None
+    return equi_join(
+        left, dim, key, dim_key, ["event_id"], totals, hot_keys=hot,
+        replicate=replicate,
+        left_schema=pa.schema([("event_id", pa.int64())] +
+                              [(k, types[k]) for k in keys]),
+        right_schema=pa.schema([(d, types[k])
+                                for k, d in zip(keys, dim_keys)] +
+                               [(c, pa.int64()) for c in totals]),
+        right_reduce=sums)
+
+
 def q_events_user_type_join(sf_dir: str, salted: bool = False):
     """COMPOSITE-key distributed join (``join.equi_join`` with a list
     key): every event picks up its (user_id, event_type) group's total
     and count — an (int, string) key a single int64 key can't express
-    without packing. The dim side is a lazy grouped aggregate;
-    ``right_schema`` skips the schema probe that would execute it
-    twice. ``salted=True`` passes the hot composite keys as
-    ``hot_keys`` (row-identical; skew twin)."""
-    from searchengine_ray.pipelines.common import grouped_aggregate
-    from searchengine_ray.pipelines.join import detect_hot_keys, equi_join
-
-    def dim_partial(b: pa.Table) -> pa.Table:
-        vc = np.round(b["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        t = pa.table({
-            "user_id": pc.cast(b["user_id"], pa.int64()),
-            "event_type": pc.cast(b["event_type"], pa.string()),
-            "v": pa.array(vc),
-            "n": pa.array(np.ones(len(b), dtype=np.int64)),
-        })
-        return (t.group_by(["user_id", "event_type"], use_threads=False)
-                 .aggregate([("v", "sum"), ("n", "sum")])
-                 .rename_columns(["user_id", "event_type", "v", "n"]))
-
-    def dim_final(part: pa.Table) -> pa.Table:
-        g = (part.group_by(["user_id", "event_type"], use_threads=False)
-             .aggregate([("v", "sum"), ("n", "sum")]))
-        return pa.table({
-            "user_id": pc.cast(g["user_id"], pa.int64()),
-            "event_type": pc.cast(g["event_type"], pa.string()),
-            "total_c": pc.cast(g["v_sum"], pa.int64()),
-            "n_events": pc.cast(g["n_sum"], pa.int64()),
-        })
-
-    ev = _events(sf_dir, ["event_id", "user_id", "event_type", "value"])
-    dim = grouped_aggregate(
-        ev.map_batches(dim_partial, batch_format="pyarrow"),
-        ["user_id", "event_type"], dim_final)
-    left = _events(sf_dir, ["event_id", "user_id", "event_type"])
-    sch = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
-                     ("event_type", pa.string())])
-    dim_sch = pa.schema([("user_id", pa.int64()),
-                         ("event_type", pa.string()),
-                         ("total_c", pa.int64()),
-                         ("n_events", pa.int64())])
+    without packing. The dim side rides the join's shuffle as per-batch
+    partials (:func:`_join_event_totals`): one shuffle in all.
+    ``salted=True`` passes the hot composite keys as ``hot_keys``
+    (row-identical; skew twin) — threshold ≈ 1.5× the testdata's mean
+    key size, so real keys salt."""
     keys = ["user_id", "event_type"]
-    # adversarial-skew twin: hot (user_id, event_type) composites
-    # (threshold ≈ 1.5× the testdata's mean key size, so real keys
-    # salt) spread/replicate across salts; same oracle, same output
-    hot = detect_hot_keys(left, keys, threshold=20) if salted else None
-    return equi_join(left, dim, keys, keys, ["event_id"],
-                     ["total_c", "n_events"], hot_keys=hot, replicate=4,
-                     left_schema=sch, right_schema=dim_sch)
+    return _join_event_totals(sf_dir, keys, keys, 20 if salted else 0, 4)
 
 
 def sql_events_user_type_join() -> str:
@@ -1256,6 +1261,20 @@ FROM base b LEFT JOIN agg a USING (doc_id)
 """
 
 
+def q_embedding_neardup(sf_dir: str):
+    """Exact all-pairs cosine near-dups. The pair grid re-reads the
+    block files ``embedding_neardup`` spills, so the result is
+    materialized before its scratch directory is removed."""
+    import shutil
+    import tempfile
+    scratch = tempfile.mkdtemp(prefix="seray_neardup_")
+    try:
+        return similarity.embedding_neardup(
+            _embs(sf_dir), scratch_dir=scratch).materialize()
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def sql_embedding_neardup(tau: float = 0.3) -> str:
     return f"""
 SELECT a.vec_id::BIGINT AS a_id, b.vec_id::BIGINT AS b_id,
@@ -1679,39 +1698,10 @@ def q_events_user_join_salted(sf_dir: str):
     user's corpus-wide totals. The user keys are HOT by construction
     (few users, many events each) — detect_hot_keys finds them and
     equi_join(hot_keys=...) spreads each hot user's events across salts
-    while replicating the one dimension row per salt. Output identical
-    to the unsalted join (same SQL oracle)."""
-    from searchengine_ray.pipelines.join import detect_hot_keys, equi_join
-
-    ev = _events(sf_dir, ["event_id", "user_id", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        uid = pc.cast(b["user_id"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        vc = np.round(b["value"].to_numpy(zero_copy_only=False)
-                      * 100.0).astype(np.int64)
-        u, inv = np.unique(uid, return_inverse=True)
-        s = np.zeros(u.size, dtype=np.int64)
-        np.add.at(s, inv, vc)
-        return pa.table({"user_id": pa.array(u), "s": pa.array(s),
-                         "n": pa.array(np.bincount(inv)
-                                       .astype(np.int64))})
-
-    def fin(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "uid": pc.cast(b["user_id"], pa.int64()),
-            "total_c": pc.cast(b["sum(s)"], pa.int64()),
-            "n_events": pc.cast(b["sum(n)"], pa.int64()),
-        })
-
-    dim = (ev.map_batches(partial, batch_format="pyarrow")
-             .groupby("user_id").sum(["s", "n"])
-             .map_batches(fin, batch_format="pyarrow"))
-    left = _events(sf_dir, ["event_id", "user_id"])
-    hot = detect_hot_keys(left, "user_id", threshold=32)
-    return equi_join(left, dim, "user_id", "uid",
-                     ["event_id"], ["total_c", "n_events"],
-                     hot_keys=hot, replicate=8)
+    while replicating the dimension partials to every salt, where
+    ``right_reduce`` finishes them (:func:`_join_event_totals`). Output
+    identical to the unsalted join (same SQL oracle)."""
+    return _join_event_totals(sf_dir, "user_id", "uid", 32, 8)
 
 
 def sql_events_user_join_salted() -> str:
@@ -1862,7 +1852,7 @@ def build_queries() -> dict[str, Callable[[str], Any]]:
         # test ATOMICALLY (md5 fence on the component representative)
         "docs_leakage_safe_split": lambda sf: dedup.leakage_safe_split(
             _docs(sf), pairs=shared_minhash_pairs(sf)),
-        "embedding_neardup": lambda sf: similarity.embedding_neardup(_embs(sf)),
+        "embedding_neardup": q_embedding_neardup,
         "embedding_neardup_lsh": lambda sf: similarity.embedding_neardup_lsh(
             _embs(sf)),
         "ann_cosine_topk": lambda sf: similarity.brute_topk(

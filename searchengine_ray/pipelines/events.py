@@ -356,20 +356,12 @@ def value_quantiles(ds: "ray.data.Dataset",
     quantile convention matches DuckDB quantile_disc: sorted value at
     index max(0, ceil(q*n) - 1)."""
     proj = _project_type_cents(ds)
-    stats = _type_value_stats(proj)
     tags = [f"p{int(round(q * 100))}_value_c" for q in qs]
-    active: dict[tuple[str, str], tuple[int, int, int]] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for q, tag in zip(qs, tags):
-        # exact ceil(q*n) in integer math (q as parts-per-million —
-        # int(0.99*1e6) would TRUNCATE to 989999)
-        qn = int(round(q * 1_000_000))
-        for ty, (n, lo, hi) in stats.items():
-            k = max(1, -(-qn * int(n) // 1_000_000))
-            active[(ty, tag)] = (int(lo) - 1, int(hi), k)
-            counts[(ty, tag)] = int(n)
-    result = _iterative_select(proj, active, counts, num_buckets,
-                               fetch_threshold)
+    # exact ceil(q*n) in integer math (q as parts-per-million —
+    # int(0.99*1e6) would TRUNCATE to 989999)
+    stats, result = _select_quantiles(
+        proj, {tag: (int(round(q * 1_000_000)), 1_000_000)
+               for q, tag in zip(qs, tags)}, num_buckets, fetch_threshold)
 
     def upart(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -1454,14 +1446,9 @@ def value_quantile_exact(ds: "ray.data.Dataset", q_num: int = 1,
     DISTRIBUTED SELECTION (:func:`_iterative_select`), never a sort
     and never an O(distinct-values) structure on the driver. Columns:
     event_type, <out_col> (int64)."""
-    proj = _project_type_cents(ds)
-    stats = _type_value_stats(proj)
-    active = {(ty, out_col): (int(lo) - 1, int(hi),
-                              (q_num * int(n) + q_den - 1) // q_den)
-              for ty, (n, lo, hi) in stats.items()}
-    counts = {(ty, out_col): int(n) for ty, (n, _, _) in stats.items()}
-    result = _iterative_select(proj, active, counts, num_buckets,
-                               fetch_threshold)
+    stats, result = _select_quantiles(_project_type_cents(ds),
+                                      {out_col: (q_num, q_den)},
+                                      num_buckets, fetch_threshold)
     tys = sorted(stats)
     return _table_dataset(pa.table({
         "event_type": pa.array(tys, type=pa.string()),
@@ -1508,6 +1495,24 @@ def _type_value_stats(proj: "ray.data.Dataset"
             cur[2] = max(cur[2], hi)
     return {ty: (int(n), int(lo), int(hi))
             for ty, (n, lo, hi) in agg.items()}
+
+
+def _select_quantiles(proj: "ray.data.Dataset",
+                      qs: dict[str, tuple[int, int]],
+                      num_buckets: int, fetch_threshold: int
+                      ) -> tuple[dict[str, tuple[int, int, int]],
+                                 dict[tuple[str, str], int]]:
+    """Per-type k-th smallest vc, k = max(1, ceil(q_num·n / q_den)),
+    for every ``tag: (q_num, q_den)`` of ``qs``: one stats pass, then
+    ONE :func:`_iterative_select` run in which all targets refine in
+    the same scans. Returns (stats, {(type, tag): value})."""
+    stats = _type_value_stats(proj)
+    active = {(ty, tag): (lo - 1, hi, max(1, (qn * n + qd - 1) // qd))
+              for ty, (n, lo, hi) in stats.items()
+              for tag, (qn, qd) in qs.items()}
+    counts = {key: stats[key[0]][0] for key in active}
+    return stats, _iterative_select(proj, active, counts, num_buckets,
+                                    fetch_threshold)
 
 
 def _iterative_select(proj: "ray.data.Dataset",
@@ -2163,28 +2168,33 @@ SELECT event_id, kept FROM chain
 """
 
 
+_QUARTILE_SCHEMA = pa.schema([("event_id", pa.int64()),
+                              ("quartile", pa.int64())])
+_QUARTILES = {"p25": (1, 4), "p50": (1, 2), "p75": (3, 4)}
+
+
 def value_quartile(ds: "ray.data.Dataset",
                    num_buckets: int = 32,
                    fetch_threshold: int = 4096) -> "ray.data.Dataset":
     """QUANTILE BINNING feature transform: each event labeled with its
     per-type quartile (0-3) against the EXACT p25/p50/p75 order
-    statistics (k = ceil(q·n)-th smallest, the iterative-distributed-
-    selection machinery run three times). Columns: event_id, quartile.
+    statistics (k = ceil(q·n)-th smallest). Columns: event_id, quartile.
 
-    The three selection passes ship only (type, bucket, count) digests;
-    the ≤ |types|×3 cut points broadcast into one vectorized labeling
-    pass (pc.index_in type lookup + two searchsorted-free compares).
+    One projection, one stats pass and ONE iterative-distributed-
+    selection run with three targets per type: every round bins all
+    three cuts in the same scan, shipping only (type, tag, bucket,
+    count) digests. The ≤ |types|×3 cut points broadcast into one
+    vectorized labeling pass (pc.index_in type lookup + three
+    compares).
     """
-    cuts = {}
-    for q_num, q_den in ((1, 4), (1, 2), (3, 4)):
-        res = value_quantile_exact(ds, q_num, q_den, "p_c", num_buckets,
-                                   fetch_threshold).take_all()
-        for r in res:
-            cuts.setdefault(r["event_type"], []).append(int(r["p_c"]))
-    types = sorted(cuts)
+    stats, cuts = _select_quantiles(_project_type_cents(ds), _QUARTILES,
+                                    num_buckets, fetch_threshold)
+    if not stats:
+        return _table_dataset(_QUARTILE_SCHEMA.empty_table())
+    types = sorted(stats)
     type_arr = pa.array(types, type=pa.string())
-    cut_mat = np.array([cuts[t] for t in types],
-                       dtype=np.int64)   # (types, 3) p25/p50/p75
+    cut_mat = np.array([[cuts[(t, tag)] for tag in _QUARTILES]
+                        for t in types], dtype=np.int64)   # (types, 3)
 
     def label(batch: pa.Table) -> pa.Table:
         et = pc.cast(batch["event_type"], pa.string())
@@ -2194,10 +2204,8 @@ def value_quartile(ds: "ray.data.Dataset",
         c = cut_mat[idx]
         quart = ((vc > c[:, 0]).astype(np.int64)
                  + (vc > c[:, 1]) + (vc > c[:, 2]))
-        return pa.table({
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "quartile": pa.array(quart),
-        })
+        return pa.table([pc.cast(batch["event_id"], pa.int64()),
+                         pa.array(quart)], schema=_QUARTILE_SCHEMA)
 
     return ds.map_batches(label, batch_format="pyarrow")
 
@@ -2257,12 +2265,8 @@ def value_mad_outliers(ds: "ray.data.Dataset", k_mult: int = 3,
 
     proj = ds.select_columns(["event_type", "value"]) \
              .map_batches(project_ad, batch_format="pyarrow")
-    stats = _type_value_stats(proj)
-    active = {(t, "mad"): (int(lo) - 1, int(hi), (int(n) + 1) // 2)
-              for t, (n, lo, hi) in stats.items()}
-    counts = {(t, "mad"): int(n) for t, (n, _, _) in stats.items()}
-    mad_res = _iterative_select(proj, active, counts, num_buckets,
-                                fetch_threshold)
+    _, mad_res = _select_quantiles(proj, {"mad": (1, 2)}, num_buckets,
+                                   fetch_threshold)
     mad_arr = np.array([mad_res[(t, "mad")] for t in types],
                        dtype=np.int64)
 
@@ -2512,18 +2516,10 @@ def user_rfm(ds: "ray.data.Dataset", num_buckets: int = 32,
                          "vc": pa.array(np.concatenate(vals))})
 
     proj = rfm.map_batches(project_dims, batch_format="pyarrow")
-    stats = _type_value_stats(proj)
-    tags = {(1, 4): "p25", (1, 2): "p50", (3, 4): "p75"}
-    active, counts = {}, {}
-    for (qn, qd), tag in tags.items():
-        for d, (n, lo, hi) in stats.items():
-            active[(d, tag)] = (int(lo) - 1, int(hi),
-                                (qn * int(n) + qd - 1) // qd)
-            counts[(d, tag)] = int(n)
-    cuts = _iterative_select(proj, active, counts, num_buckets,
-                             fetch_threshold)
-    cut_mat = {d: np.array([cuts[(d, "p25")], cuts[(d, "p50")],
-                            cuts[(d, "p75")]], dtype=np.int64)
+    _, cuts = _select_quantiles(proj, _QUARTILES, num_buckets,
+                                fetch_threshold)
+    cut_mat = {d: np.array([cuts[(d, tag)] for tag in _QUARTILES],
+                           dtype=np.int64)
                for d in ("r", "f", "m")}
 
     def label(batch: pa.Table) -> pa.Table:

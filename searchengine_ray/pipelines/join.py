@@ -25,9 +25,21 @@ Skew: a hot key's rows land in one partition under plain routing.
 right rows replicate per salt (output row-identical, asserted in tests).
 The salt XORs ``salt·_SALT_MIX`` into the routing hash; non-hot rows ride
 salt 0, so the plain join IS the salted join with an empty hot set.
+
+Co-partitioned work. The shuffle puts every row of a key in one
+partition, so work keyed by the join key can run there instead of in a
+shuffle of its own. ``right_reduce`` folds a partition's right rows
+before the merge: a right side that is an aggregate ships per-batch
+partials through the join's shuffle and is finished here. Salting keeps
+it exact, because a hot key's right rows replicate to every salt.
+``finish`` runs on a partition's join output (e.g. a sum keyed by the
+join key); salting would spread one key's left rows over several
+partitions, so ``finish`` refuses a non-empty ``hot_keys``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -178,7 +190,9 @@ def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               hot_keys: np.ndarray | None = None,
               replicate: int = 8,
               left_schema: "pa.Schema | None" = None,
-              right_schema: "pa.Schema | None" = None
+              right_schema: "pa.Schema | None" = None,
+              right_reduce: Callable[[pa.Table], pa.Table] | None = None,
+              finish: Callable[[pa.Table], pa.Table] | None = None
               ) -> "ray.data.Dataset":
     """Distributed equi-join; ``how`` ∈ inner / left / semi / anti.
 
@@ -209,6 +223,18 @@ def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     and the join run executes it again (measured: q3's semi-join ran
     2.5 s as a probe before the real run). Chained joins should either
     pass schemas or ``materialize()`` the digest intermediate.
+
+    ``right_reduce(tbl) -> tbl``: runs on each partition's right rows
+    (``right_key`` names + ``right_cols``, same types) before the merge
+    and returns rows of the same columns — typically a group-by sum
+    that finishes per-batch partials, so an aggregated right side needs
+    no shuffle of its own. Each partition holds every right row of its
+    keys (hot keys replicate per salt), so the reduce sees whole keys.
+
+    ``finish(tbl) -> tbl``: runs on each partition's join output, which
+    holds every output row of its keys; the result is the partition's
+    output. Raises with a non-empty ``hot_keys``: salting spreads one
+    key's left rows over several partitions.
     """
     assert how in ("inner", "left", "semi", "anti"), how
     overlap = set(left_cols) & set(right_cols)
@@ -227,6 +253,9 @@ def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     assert not set(out_keys) & (set(left_cols) | set(right_cols))
     hot = np.sort(np.asarray(hot_keys if hot_keys is not None else [],
                              dtype=np.int64))
+    if finish is not None and hot.size:
+        raise ValueError("equi_join: finish needs every row of a key in "
+                         "one partition; salting (hot_keys) spreads them")
     R = max(int(replicate), 1)
 
     def rows(batch: pa.Table, side: int, keys: list[str],
@@ -260,12 +289,27 @@ def equi_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                 (np.arange(n) % NUM_JOIN_PARTITIONS).astype(np.int32))])
         return t
 
+    merge = _merge_fn(out_keys, left_cols, right_cols, r_schema, how)
+
+    def per_part(group: pa.Table) -> pa.Table:
+        if right_reduce is not None:
+            is_r = pc.equal(group["side"], 1)
+            r = group.filter(is_r)
+            if len(r):
+                red = right_reduce(pa.table(
+                    {**{c: r[f"k{i}"] for i, c in enumerate(rkeys)},
+                     **{c: r[f"r_{c}"] for c in right_cols}}))
+                group = pa.concat_tables([
+                    group.filter(pc.invert(is_r)),
+                    rows(red, 1, rkeys, np.zeros(len(red), np.int32))])
+        out = merge(group)
+        return out if finish is None else finish(out)
+
     unioned = (left.map_batches(lambda b: tag(b, 0), batch_format="pyarrow")
                .union(right.map_batches(lambda b: tag(b, 1),
                                         batch_format="pyarrow")))
-    return unioned.groupby("part").map_groups(
-        _merge_fn(out_keys, left_cols, right_cols, r_schema, how),
-        batch_format="pyarrow")
+    return unioned.groupby("part").map_groups(per_part,
+                                              batch_format="pyarrow")
 
 
 def detect_hot_keys(ds: "ray.data.Dataset", key: str | list[str],

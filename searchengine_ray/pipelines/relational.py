@@ -12,9 +12,10 @@ Scale shape:
   pricing_summary       pure combiner — per-batch Arrow group_by partials,
                         one tiny (flag × status)-row exchange; never raw rows.
   top_unshipped_orders  dimension semi-join (customer→orders) + fact join
-                        (lineitem→orders) + grouped sum + sort-free global
-                        top-N digest reduce; text never shuffles, only the
-                        id/date/priority/revenue columns.
+                        (lineitem→orders) whose partitions sum per order
+                        and keep a top-N digest, merged on the driver
+                        (≤ N × join partitions rows); text never shuffles,
+                        only the id/date/priority/revenue columns.
 
 Monetary doubles cross engines as scaled integers with HALF-UP cents:
 ``floor(x·100 + 0.5)`` — the same IEEE double ops in numpy and DuckDB
@@ -140,6 +141,8 @@ _Q3_ORDERS = pa.schema([("o_custkey", _I64), ("o_orderkey", _I64),
                         ("o_orderdate_us", _I64),
                         ("o_orderpriority", _STR)])
 _LINE_REV = pa.schema([("l_orderkey", _I64), ("rev_e4", _I64)])
+_Q3_DIGEST = pa.schema([("l_orderkey", _I64), ("o_orderdate_us", _I64),
+                        ("o_orderpriority", _STR), ("revenue_e4", _I64)])
 _Q5_ORDERS = pa.schema([("o_custkey", _I64), ("o_orderkey", _I64)])
 _Q5_CUST = pa.schema([("c_custkey", _I64), ("c_nationkey", _I64)])
 _Q5_LINE = pa.schema([("l_orderkey", _I64), ("s_nationkey", _I64),
@@ -166,14 +169,15 @@ def top_unshipped_orders(lineitem: "ray.data.Dataset",
     custkey (``join.equi_join`` how="semi" — dimension side never
     expands); (2) lineitem filters by shipdate, pre-projects to
     (orderkey, revenue) id-width rows, and INNER-joins the surviving
-    orders on orderkey; (3) ``grouped_aggregate`` sums revenue per
-    order; (4) a per-partition top-``n`` digest + single-key reduce
-    finds the global top-``n`` WITHOUT a global sort (same discipline
-    as events.top_n_by_value). Every exchanged row is id-width; the
-    result ships ≤ n × partitions digest rows to the final stage.
+    orders on orderkey; (3) the join's ``finish`` sums revenue per order
+    inside the join partition that already holds all of its rows (no
+    second orderkey shuffle) and keeps that partition's top-``n``
+    digest; (4) the driver merges the digests into the global top-``n``
+    WITHOUT a global sort (same discipline as events.top_n_by_value).
+    Every exchanged row is id-width; the driver fetch is bounded by
+    n × NUM_JOIN_PARTITIONS digest rows whatever the scale factor.
     """
-    from searchengine_ray.pipelines.common import grouped_aggregate
-    from searchengine_ray.pipelines.join import equi_join
+    from searchengine_ray.pipelines.join import NUM_JOIN_PARTITIONS, equi_join
 
     date_us = _ts_us(date)
 
@@ -216,48 +220,40 @@ def top_unshipped_orders(lineitem: "ray.data.Dataset",
                           "o_orderpriority"], [], how="semi",
                          left_schema=_Q3_ORDERS,
                          right_schema=_CUSTKEY).materialize()
-    linesel = lineitem.map_batches(prep_line, batch_format="pyarrow")
-    joined = equi_join(linesel, ord_semi, "l_orderkey", "o_orderkey",
-                       ["rev_e4"], ["o_orderdate_us", "o_orderpriority"],
-                       left_schema=_LINE_REV)
+
+    def top_n(okey: np.ndarray, odate: np.ndarray, prio: pa.Array,
+              rev: np.ndarray) -> pa.Table:
+        order = np.lexsort((okey, odate, -rev))[:n]
+        return pa.table([okey[order], odate[order],
+                         pc.cast(prio, _STR).take(pa.array(order, _I64)),
+                         rev[order]], schema=_Q3_DIGEST)
 
     def sum_orders(part: pa.Table) -> pa.Table:
         g = (part.group_by(["key", "o_orderdate_us", "o_orderpriority"],
                            use_threads=False)
              .aggregate([("rev_e4", "sum")]))
-        okey = pc.cast(g["key"], pa.int64()).to_numpy(zero_copy_only=False)
-        odate = pc.cast(g["o_orderdate_us"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        rev = pc.cast(g["rev_e4_sum"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        order = np.lexsort((okey, odate, -rev))[:n]
-        t = pa.table({
-            "l_orderkey": pa.array(okey[order]),
-            "o_orderdate_us": pa.array(odate[order]),
-            "o_orderpriority": g["o_orderpriority"].take(
-                pa.array(order)),
-            "revenue_e4": pa.array(rev[order]),
-        })
-        return t.append_column("k", pa.array(
-            np.zeros(len(t), dtype=np.int64)))
+        return top_n(*(pc.cast(g[c], pa.int64()).to_numpy(
+                           zero_copy_only=False)
+                       for c in ("key", "o_orderdate_us")),
+                     g["o_orderpriority"],
+                     pc.cast(g["rev_e4_sum"], pa.int64())
+                     .to_numpy(zero_copy_only=False))
 
-    def final_topn(part: pa.Table) -> pa.Table:
-        okey = part["l_orderkey"].to_numpy(zero_copy_only=False)
-        odate = part["o_orderdate_us"].to_numpy(zero_copy_only=False)
-        rev = part["revenue_e4"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((okey, odate, -rev))[:n]
-        return pa.table({
-            "rnk": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
-            "l_orderkey": pa.array(okey[order]),
-            "o_orderdate_us": pa.array(odate[order]),
-            "o_orderpriority": part["o_orderpriority"].take(
-                pa.array(order)),
-            "revenue_e4": pa.array(rev[order]),
-        })
-
-    # per-order sums + per-partition top-n digest, then one-key reduce
-    digests = grouped_aggregate(joined, ["key"], sum_orders)
-    return grouped_aggregate(digests, ["k"], final_topn)
+    # per-order sums + per-partition top-n digest inside the fact join
+    linesel = lineitem.map_batches(prep_line, batch_format="pyarrow")
+    joined = equi_join(linesel, ord_semi, "l_orderkey", "o_orderkey",
+                       ["rev_e4"], ["o_orderdate_us", "o_orderpriority"],
+                       left_schema=_LINE_REV, finish=sum_orders)
+    # driver merge: ≤ n digest rows per join partition
+    parts = [t for t in joined.iter_batches(batch_size=None,
+                                            batch_format="pyarrow")
+             if len(t)]
+    d = pa.concat_tables(parts) if parts else _Q3_DIGEST.empty_table()
+    assert len(d) <= n * NUM_JOIN_PARTITIONS, len(d)
+    top = top_n(d["l_orderkey"].to_numpy(), d["o_orderdate_us"].to_numpy(),
+                d["o_orderpriority"], d["revenue_e4"].to_numpy())
+    return ray.data.from_arrow(top.add_column(0, "rnk", pa.array(
+        np.arange(1, len(top) + 1, dtype=np.int64))))
 
 
 def sql_top_unshipped_orders(segment: str = Q3_SEGMENT,

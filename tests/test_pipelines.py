@@ -278,10 +278,11 @@ def test_lsh_topk_recall(emb_ds):
         assert abs(c - round(float(sims[q, v]), 6)) < 1e-9
 
 
-def test_embedding_neardup(emb_ds):
+def test_embedding_neardup(emb_ds, tmp_path):
     from searchengine_ray.pipelines.similarity import embedding_neardup
     tau = 0.9
-    rows = embedding_neardup(emb_ds, tau=tau).take_all()
+    rows = embedding_neardup(emb_ds, tau=tau,
+                             scratch_dir=str(tmp_path)).take_all()
     got = {(r["a_id"], r["b_id"]) for r in rows}
     sims = np.round(brute_cosine(emb_table()), 6)
     want = {(a, b) for a in range(sims.shape[0])
@@ -291,22 +292,24 @@ def test_embedding_neardup(emb_ds):
     assert len(rows) == len(got)
 
 
-def test_embedding_neardup_block_count_invariance(emb_ds):
+def test_embedding_neardup_block_count_invariance(emb_ds, tmp_path):
     """The block-pair grid is a physical knob: results identical for any
     num_blocks (incl. 1 = the single-task degenerate case)."""
     from searchengine_ray.pipelines.similarity import embedding_neardup
     tau = 0.9
     base = {(r["a_id"], r["b_id"], r["cos_r"])
-            for r in embedding_neardup(emb_ds, tau=tau,
-                                       num_blocks=16).take_all()}
+            for r in embedding_neardup(
+                emb_ds, tau=tau, num_blocks=16,
+                scratch_dir=str(tmp_path / "nb16")).take_all()}
     for nb in (1, 3):
         alt = {(r["a_id"], r["b_id"], r["cos_r"])
-               for r in embedding_neardup(emb_ds, tau=tau,
-                                          num_blocks=nb).take_all()}
+               for r in embedding_neardup(
+                   emb_ds, tau=tau, num_blocks=nb,
+                   scratch_dir=str(tmp_path / f"nb{nb}")).take_all()}
         assert alt == base
 
 
-def test_embedding_neardup_lsh_subset_and_recall(emb_ds):
+def test_embedding_neardup_lsh_subset_and_recall(emb_ds, tmp_path):
     """LSH variant: every emitted pair is an exact-cos pair ≥ tau (subset
     of the exact operator), and recall on the clustered fixture is high
     (SRP collision prob at cos≥0.9 with 6 planes × 24 tables ≈ 1)."""
@@ -314,7 +317,8 @@ def test_embedding_neardup_lsh_subset_and_recall(emb_ds):
                                                        embedding_neardup_lsh)
     tau = 0.9
     exact = {(r["a_id"], r["b_id"]): r["cos_r"]
-             for r in embedding_neardup(emb_ds, tau=tau).take_all()}
+             for r in embedding_neardup(
+                 emb_ds, tau=tau, scratch_dir=str(tmp_path)).take_all()}
     approx = {(r["a_id"], r["b_id"]): r["cos_r"]
               for r in embedding_neardup_lsh(emb_ds, tau=tau).take_all()}
     assert set(approx) <= set(exact)
@@ -1532,6 +1536,104 @@ def test_equi_join_null_keys_property(ray_session, lrows, rrows):
                                  else x for x in t))
             assert sorted(got, key=skey) == sorted(want, key=skey), \
                 (how, key, hot is not None)
+
+
+_RR_KEY = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+_RR_TAG = st.one_of(st.none(), st.sampled_from(["x", "y"]))
+
+
+@hyp_settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+@given(lrows=st.lists(st.tuples(_RR_KEY, _RR_TAG), min_size=0,
+                      max_size=10),
+       rrows=st.lists(st.tuples(_RR_KEY, _RR_TAG,
+                                st.integers(min_value=-50, max_value=50)),
+                      min_size=0, max_size=10),
+       how=st.sampled_from(["inner", "left", "semi", "anti"]),
+       replicate=st.sampled_from([1, 2, 4]))
+@example(lrows=[(1, "x"), (None, "y")], rrows=[], how="left", replicate=2)
+@example(lrows=[(2, "x"), (2, "x"), (2, None)],
+         rrows=[(2, "x", 5), (2, "x", -3), (2, "y", 1), (None, "x", 9)],
+         how="inner", replicate=4)
+def test_equi_join_right_reduce_is_aggregate_then_join(
+        ray_session, lrows, rrows, how, replicate):
+    """``right_reduce`` finishing per-batch right partials inside the
+    join partition equals aggregating the right side first and joining
+    after, for every mode, int and composite keys, NULL keys, an empty
+    right side and every key salted."""
+    import ray.data
+    from searchengine_ray.pipelines.join import _routing_hash, equi_join
+    l = pa.table({"k": pa.array([k for k, _ in lrows], pa.int64()),
+                  "s": pa.array([t for _, t in lrows], pa.string()),
+                  "lv": pa.array(range(len(lrows)), pa.int64())})
+    r = pa.table({"k": pa.array([k for k, _, _ in rrows], pa.int64()),
+                  "s": pa.array([t for _, t, _ in rrows], pa.string()),
+                  "v": pa.array([v for _, _, v in rrows], pa.int64())})
+    lds = ray.data.from_arrow(l)
+    # two right blocks, so one key's partials come from several batches
+    rds = ray.data.from_arrow([r.slice(0, len(r) // 2),
+                               r.slice(len(r) // 2)])
+    every = pa.table({"k": pa.array(np.repeat(np.arange(5), 2), pa.int64()),
+                      "s": pa.array(["x", "y"] * 5)})
+    forms = (("k", ["key"], None),
+             ("k", ["key"], _routing_hash(every, "k").view(np.int64)),
+             (["k", "s"], ["k", "s"], None),
+             (["k", "s"], ["k", "s"],
+              _routing_hash(every, ["k", "s"]).view(np.int64)))
+    for key, out_keys, hot in forms:
+        kcols = ["k"] if key == "k" else key
+
+        def reduce(t, kcols=kcols):
+            g = t.group_by(kcols, use_threads=False).aggregate(
+                [("v", "sum")])
+            return pa.table({**{c: g[c] for c in kcols},
+                             "v": g["v_sum"]})
+
+        sums: dict = {}
+        for row in rrows:
+            rk = row[:len(kcols)]
+            if None not in rk:
+                sums[rk] = sums.get(rk, 0) + row[2]
+        want = []
+        for i, row in enumerate(lrows):
+            lk = row[:len(kcols)]
+            m = sums.get(lk) if None not in lk else None
+            if how in ("inner", "left"):
+                if m is not None or how == "left":
+                    want.append(lk + (i, m))
+            elif (how == "semi") == (m is not None):
+                want.append(lk + (i,))
+        got = [tuple(d[c] for c in out_keys + ["lv"]) +
+               ((d["v"],) if "v" in d else ())
+               for d in equi_join(lds, rds, key, key, ["lv"], ["v"],
+                                  how=how, hot_keys=hot,
+                                  replicate=replicate,
+                                  right_reduce=reduce).take_all()]
+        skey = (lambda t: tuple((x is None, str(x)) for x in t))
+        assert sorted(got, key=skey) == sorted(want, key=skey), \
+            (how, key, hot is not None)
+
+
+def test_equi_join_finish_refuses_salting(ray_session):
+    """``finish`` needs every row of a key in one partition, so it
+    refuses a non-empty hot set; an empty one is the plain join."""
+    import ray.data
+    from searchengine_ray.pipelines.join import equi_join
+    t = pa.table({"k": pa.array([1, 2, 2], pa.int64()),
+                  "v": pa.array([1, 2, 3], pa.int64())})
+    ds = ray.data.from_arrow(t)
+    rs = ray.data.from_arrow(t.rename_columns(["k", "w"]))
+    with pytest.raises(ValueError, match="finish"):
+        equi_join(ds, rs, "k", "k", ["v"], ["w"],
+                  hot_keys=np.array([5], dtype=np.int64),
+                  finish=lambda p: p)
+    out = equi_join(ds, rs, "k", "k", ["v"], ["w"],
+                    hot_keys=np.empty(0, dtype=np.int64),
+                    finish=lambda p: p.group_by("key").aggregate(
+                        [("v", "count")]))
+    assert sorted((r["key"], r["v_count"]) for r in out.take_all()) == \
+        [(1, 1), (2, 4)]
 
 
 def test_equi_join_null_keys_sql_semantics(ray_session):
@@ -3116,6 +3218,153 @@ def test_tpch_join_plans_skip_schema_probes(ray_session, monkeypatch):
     assert lazy_probes == []
     monkeypatch.undo()
     assert [ds.count() for ds in plans] == [1, 1, 1]
+
+
+def _count_groupby(monkeypatch) -> dict:
+    """Wrap ``Dataset.groupby`` to count the shuffles a plan builds."""
+    import ray.data
+    calls = {"groupby": 0}
+    orig = ray.data.Dataset.groupby
+
+    def wrapper(self, *args, **kwargs):
+        calls["groupby"] += 1
+        return orig(self, *args, **kwargs)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", wrapper)
+    return calls
+
+
+def test_q3_plan_shape(ray_session, monkeypatch):
+    """q3 shuffles once per key: the customer semi-join and the fact
+    join, whose ``finish`` sums per order and keeps the top-n digest
+    that the driver merges — no orderkey re-shuffle, no one-key
+    reduce."""
+    from searchengine_ray.pipelines import relational
+    t = _tiny_tpch()
+    calls = _count_groupby(monkeypatch)
+    out = relational.top_unshipped_orders(t["lineitem"], t["orders"],
+                                          t["customer"])
+    assert calls["groupby"] <= 2, calls
+    monkeypatch.undo()
+    assert [(r["rnk"], r["l_orderkey"]) for r in out.take_all()] == \
+        [(1, 10)]
+
+
+def test_events_user_type_join_plan_shape(ray_session, monkeypatch):
+    """The dim aggregate rides the join's shuffle (``right_reduce``):
+    one groupby for the plain join, two with the hot-key probe; both
+    match the DuckDB oracle."""
+    import duckdb
+    from searchengine_ray.pipelines import driver_api
+    from tools.selfcheck import compare
+    sf = "/root/testdata/sf0.001"
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{sf}/events.parquet')")
+    want = con.execute(driver_api.sql_events_user_type_join()).df()
+    for salted, most in ((False, 1), (True, 2)):
+        calls = _count_groupby(monkeypatch)
+        out = driver_api.q_events_user_type_join(sf, salted=salted)
+        assert calls["groupby"] <= most, (salted, calls)
+        monkeypatch.undo()
+        assert compare("events_user_type_join", out.to_pandas(), want) \
+            == [], salted
+
+
+def test_value_quartile_selects_once(ray_session, monkeypatch):
+    """The three cuts are one selection: one stats pass and one
+    ``_iterative_select`` call with p25/p50/p75 targets per type."""
+    import ray.data
+    from searchengine_ray.pipelines import events
+    calls = {"_type_value_stats": 0, "_iterative_select": 0}
+    for name in calls:
+        orig = getattr(events, name)
+
+        def wrapper(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(events, name, wrapper)
+    out = events.value_quartile(ray.data.read_parquet(
+        "/root/testdata/sf0.001/events.parquet"))
+    assert calls == {"_type_value_stats": 1, "_iterative_select": 1}
+    assert out.count() > 0
+
+
+def test_changed_plans_typed_empty_results(ray_session):
+    """q3 with a segment or a date that selects nothing and the quartile
+    over an empty events table return DuckDB's (empty) rows under
+    DuckDB's schema."""
+    import duckdb
+    import ray
+    from searchengine_ray.pipelines import events, relational
+    t = _tiny_tpch()
+    con = duckdb.connect()
+    for name in ("lineitem", "orders", "customer"):
+        con.register(name, pa.concat_tables(
+            ray.get(t[name].to_arrow_refs())))
+
+    def check(out, sql):
+        want = con.execute(sql).fetch_arrow_table()
+        assert want.num_rows == 0
+        assert out.schema().base_schema == want.schema
+        assert out.take_all() == want.to_pylist()
+
+    for kw in ({"segment": "NO_SUCH_SEGMENT"},
+               {"date": "1990-01-01 00:00:00"}):
+        check(relational.top_unshipped_orders(
+                  t["lineitem"], t["orders"], t["customer"], **kw),
+              relational.sql_top_unshipped_orders(**kw))
+    empty = pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                       ("ts", pa.timestamp("us")),
+                       ("event_type", pa.string()),
+                       ("value", pa.float64())]).empty_table()
+    con.register("events", empty)
+    check(events.value_quartile(ray.data.from_arrow(empty)),
+          events.sql_value_quartile())
+
+
+def test_events_user_join_salted_skips_schema_probes(ray_session,
+                                                     monkeypatch):
+    """The salted user join folds its dimension into the join
+    (``right_reduce``) and passes static schemas: building it asks no
+    lazy Dataset for its schema; it matches the DuckDB oracle."""
+    import duckdb
+    import ray.data
+    from searchengine_ray.pipelines import driver_api
+    from tools.selfcheck import compare
+    sf = "/root/testdata/sf0.001"
+    lazy_probes = []
+    orig = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing: bool = True):
+        if fetch_if_missing and not self._plan.has_computed_output():
+            lazy_probes.append(self._plan._logical_plan.dag.name)
+        return orig(self, fetch_if_missing)
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", schema)
+    calls = _count_groupby(monkeypatch)
+    out = driver_api.q_events_user_join_salted(sf)
+    assert lazy_probes == []
+    assert calls["groupby"] <= 2, calls
+    monkeypatch.undo()
+    con = duckdb.connect()
+    con.execute("CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{sf}/events.parquet')")
+    want = con.execute(driver_api.sql_events_user_join_salted()).df()
+    assert compare("events_user_join_salted", out.to_pandas(), want) == []
+
+
+def test_embedding_neardup_entry_removes_its_scratch(ray_session):
+    """The driver entry materializes the pairs, then removes the block
+    directory it spilled them through."""
+    import glob
+    import os
+    import tempfile
+    from searchengine_ray.pipelines import driver_api
+    pattern = os.path.join(tempfile.gettempdir(), "seray_neardup_*")
+    before = len(glob.glob(pattern))
+    out = driver_api.q_embedding_neardup("/root/testdata/sf0.001")
+    assert len(glob.glob(pattern)) == before
+    assert out.count() > 0
 
 
 def test_shared_dedup_cache_keeps_one_directory(ray_session, monkeypatch):
