@@ -1581,6 +1581,12 @@ FROM assign
 """
 
 
+# Static side schemas of the doc ⋈ embedding entries: equi_join asks no
+# lazy side for its schema (each probe is a partial execution).
+_DOC_LANG = pa.schema([("doc_id", pa.int64()), ("lang", pa.string())])
+_VEC_E0 = pa.schema([("vec_id", pa.int64()), ("e0_r", pa.float64())])
+
+
 def q_doc_embedding_join(sf_dir: str):
     """Generic distributed hash equi-join (pipelines/join.py): documents
     ⋈ embeddings on doc_id = vec_id; payload = lang + the first
@@ -1599,7 +1605,8 @@ def q_doc_embedding_join(sf_dir: str):
 
     docs = _docs(sf_dir, ["doc_id", "lang"])
     embs = _embs(sf_dir).map_batches(prep, batch_format="pyarrow")
-    return equi_join(docs, embs, "doc_id", "vec_id", ["lang"], ["e0_r"])
+    return equi_join(docs, embs, "doc_id", "vec_id", ["lang"], ["e0_r"],
+                     left_schema=_DOC_LANG, right_schema=_VEC_E0)
 
 
 def sql_doc_embedding_join() -> str:
@@ -1640,7 +1647,8 @@ def q_doc_embedding_left_join(sf_dir: str):
     from searchengine_ray.pipelines.join import equi_join
     docs, embs = _join_sides(sf_dir)
     joined = equi_join(docs, embs, "doc_id", "vec_id", ["lang"], ["e0_r"],
-                       how="left")
+                       how="left", left_schema=_DOC_LANG,
+                       right_schema=_VEC_E0)
 
     def fix(b: pa.Table) -> pa.Table:
         return b.set_column(b.schema.get_field_index("e0_r"), "e0_r",
@@ -1666,7 +1674,8 @@ def q_doc_embedding_anti_join(sf_dir: str):
     from searchengine_ray.pipelines.join import equi_join
     docs, embs = _join_sides(sf_dir)
     return equi_join(docs, embs, "doc_id", "vec_id", ["lang"], ["e0_r"],
-                     how="anti")
+                     how="anti", left_schema=_DOC_LANG,
+                     right_schema=_VEC_E0)
 
 
 def sql_doc_embedding_anti_join() -> str:
@@ -1682,7 +1691,8 @@ def q_doc_embedding_semi_join(sf_dir: str):
     from searchengine_ray.pipelines.join import equi_join
     docs, embs = _join_sides(sf_dir)
     return equi_join(docs, embs, "doc_id", "vec_id", ["lang"], ["e0_r"],
-                     how="semi")
+                     how="semi", left_schema=_DOC_LANG,
+                     right_schema=_VEC_E0)
 
 
 def sql_doc_embedding_semi_join() -> str:

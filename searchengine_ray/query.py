@@ -14,7 +14,7 @@ results are bit-identical, not merely close:
 
 State pattern (SURVEY.md §2.4 ST4): everything loaded once in __init__
 (manifest, doc lengths, docstore arrays); posting segments are read lazily
-per partition and cached. ``QueryEngineActor`` wraps this class as a Ray
+per partition and cached. ``make_query_actor`` runs this class as a Ray
 actor for serving; tests and the driver use the in-process class.
 """
 
@@ -48,8 +48,8 @@ def _paginate(search_fn, query: str, page: int, per_page: int,
     """THE reference /search handler pagination semantics (app.py:128-185:
     fetch a FIXED results_per_page*3 regardless of page, excluded-domain
     filter, slice [start:start+per_page], total_pages = ceil and 0 when
-    empty) — one implementation shared by QueryEngine.search_page and
-    ShardedQueryService.search_page."""
+    empty) — one implementation shared by QueryEngine.search_page (which
+    every serving tier runs) and serve.SearchApp."""
     import math
     page = max(1, int(page))
     per_page = max(1, int(per_page))
@@ -1503,14 +1503,30 @@ class QueryEngine:
                 "avg_doc_len": self.avgdl}
 
 
+def _engine_method(name: str) -> str:
+    """``name`` when it is a public method of :class:`QueryEngine`, else
+    AttributeError — the one rule by which the serving tiers forward
+    calls, so ``hasattr(tier, m)`` answers as it would on an engine."""
+    if name.startswith("_") or not callable(getattr(QueryEngine, name,
+                                                    None)):
+        raise AttributeError(name)
+    return name
+
+
 class QueryService:
     """Round-robin pool of long-lived query actors — the serving tier.
 
     Reference analogue: the gunicorn worker pool, which pins ONE sync
     worker and restarts it after every request to cap memory
-    (web/utils/gunicorn.conf.py:50, 79-80). Here each actor holds the warm
-    index, postings cache and docstore once; requests fan out round-robin
-    and can be issued async (``submit`` → ObjectRef) for pipelining.
+    (web/utils/gunicorn.conf.py:50, 79-80). Here each actor
+    (:func:`make_query_actor`) holds the warm index, postings cache and
+    docstore once; requests fan out round-robin and can be issued async
+    (``submit`` → ObjectRef) for pipelining.
+
+    ``search`` adds the result LRU. Every other public
+    :class:`QueryEngine` method (``hybrid_search``, ``corrected_query``,
+    ``facet_counts``, ...) runs on the next actor through one
+    ``__getattr__`` and returns what the engine returns.
     """
 
     def __init__(self, index_dir: str, cfg: IndexConfig = IndexConfig(),
@@ -1529,7 +1545,8 @@ class QueryService:
                         for _ in range(num_actors)]
         self._next = 0
         import collections
-        self._cache: "collections.OrderedDict[tuple, list]" =             collections.OrderedDict()
+        self._cache: "collections.OrderedDict[tuple, list]" = \
+            collections.OrderedDict()
         self._cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
@@ -1538,6 +1555,15 @@ class QueryService:
         a = self._actors[self._next % len(self._actors)]
         self._next += 1
         return a
+
+    def __getattr__(self, name: str):
+        _engine_method(name)
+
+        def call(*args, **kwargs):
+            import ray
+            return ray.get(getattr(self._pick(), name).remote(*args,
+                                                              **kwargs))
+        return call
 
     def submit(self, query: str, top_k: int | None = None):
         """Async search → ObjectRef (callers batch ray.get for throughput;
@@ -1562,59 +1588,6 @@ class QueryService:
                 self._cache.popitem(last=False)
             return res
         return ray.get(self.submit(query, top_k))
-
-    def search_wand(self, query: str, top_k: int | None = None
-                    ) -> list[dict]:
-        """WAND scorer through the actor pool — result-identical to
-        :meth:`search` (bypasses the result cache; block-skip telemetry
-        stays actor-side)."""
-        import ray
-        return ray.get(self._pick().search_wand.remote(query, top_k))
-
-    def boolean_search(self, query: str, mode: str = "and",
-                       exclude: str = "") -> np.ndarray:
-        import ray
-        return ray.get(self._pick().boolean_search.remote(
-            query, mode, exclude))
-
-    def phrase_search(self, phrase: str) -> np.ndarray:
-        import ray
-        return ray.get(self._pick().phrase_search.remote(phrase))
-
-    def suggest(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
-        import ray
-        return [tuple(r) for r in
-                ray.get(self._pick().suggest.remote(prefix, k))]
-
-    def fuzzy_terms(self, token: str, max_dist: int = 1
-                    ) -> list[tuple[str, int]]:
-        import ray
-        return [tuple(r) for r in
-                ray.get(self._pick().fuzzy_terms.remote(token, max_dist))]
-
-    def facet_counts(self, query: str,
-                     fields: tuple[str, ...] = ("repo", "lang"),
-                     top_k: int = 1 << 30) -> list[tuple[str, str, int]]:
-        import ray
-        return [tuple(r) for r in ray.get(
-            self._pick().facet_counts.remote(query, fields, top_k))]
-
-    def more_like_this(self, doc_id: int, top_k: int = 10,
-                       n_terms: int = 5) -> list[dict]:
-        import ray
-        return ray.get(self._pick().more_like_this.remote(
-            doc_id, top_k, n_terms))
-
-    def search_corrected(self, query: str, top_k: int | None = None,
-                         max_dist: int = 1) -> tuple[list[dict], str]:
-        import ray
-        res, used = ray.get(self._pick().search_corrected.remote(
-            query, top_k, max_dist))
-        return res, used
-
-    def stats(self) -> dict:
-        import ray
-        return ray.get(self._actors[0].stats.remote())
 
     def shutdown(self) -> None:
         import ray
@@ -1810,16 +1783,10 @@ class FederationManager:
         """The currently serving engine (federated or compacted)."""
         return self._engine
 
-    def search(self, query: str, top_k: int | None = None) -> list[dict]:
-        return self._engine.search(query, top_k)
-
-    def search_page(self, query: str, page: int = 1, per_page: int = 15,
-                    exclude_repos: list[str] | None = None) -> dict:
-        return _paginate(self._engine.search, query, page, per_page,
-                         exclude_repos)
-
-    def stats(self) -> dict:
-        return self._engine.stats()
+    def __getattr__(self, name: str):
+        """Every public QueryEngine method (``search``, ``search_page``,
+        ``stats``, ...) runs on the currently serving engine."""
+        return getattr(self._engine, _engine_method(name))
 
     def add_delta(self, delta_dir: str) -> bool:
         """Make a freshly built delta queryable immediately; compact when
@@ -1848,59 +1815,6 @@ class FederationManager:
         self._engine = self._children[0]
 
 
-def _make_shard_actor(index_dir: str, cfg: IndexConfig, qcfg: QueryConfig,
-                      doc_range: tuple[int, int]):
-    """One range-shard serving actor: holds only its shard's resident
-    state (range-pruned docstore files, length rows, embedding rows) and
-    decodes only its posting-block spans."""
-    import ray
-
-    @ray.remote
-    class ShardActor:
-        def __init__(self):
-            self.eng = QueryEngine(index_dir, cfg, qcfg,
-                                   doc_range=doc_range)
-
-        def search_raw(self, query: str):
-            return self.eng.search_raw(query)
-
-        def vector_search(self, query: str, top_k: int):
-            return self.eng.vector_search(query, top_k)
-
-        def doc_meta(self, ids: list[int]):
-            return self.eng._doc_meta(np.array(ids, dtype=np.uint64))
-
-        def doc_field_values(self, ids: list[int], columns: list[str]):
-            t = self.eng._fetch_doc_rows(
-                np.array(ids, dtype=np.uint64), columns)
-            return {c: t[c].to_pylist() for c in columns}
-
-        def boolean_search(self, query: str, mode: str, exclude: str):
-            return self.eng.boolean_search(query, mode=mode,
-                                           exclude=exclude)
-
-        def phrase_search(self, phrase: str):
-            return self.eng.phrase_search(phrase)
-
-        def suggest(self, prefix: str, k: int):
-            return self.eng.suggest(prefix, k)
-
-        def fuzzy_terms(self, token: str, max_dist: int):
-            return self.eng.fuzzy_terms(token, max_dist)
-
-        def mlt_query(self, doc_id: int, n_terms: int):
-            return self.eng._mlt_query(doc_id, n_terms)
-
-        def corrected_query(self, query: str, max_dist: int):
-            return self.eng.corrected_query(query, max_dist)
-
-        def stats(self):
-            # manifest scalars are index-global, so any shard answers
-            return self.eng.stats()
-
-    return ShardActor.remote()
-
-
 class ShardedQueryService:
     """Doc-id-range-sharded query tier — the 10^12-doc serving structure
     (ROADMAP "shard query actors by doc_id range"), enabled by the codec's
@@ -1911,54 +1825,75 @@ class ShardedQueryService:
     normalizes by the global max and applies top-k + min-score. Results
     are BIT-IDENTICAL to a single QueryEngine (asserted in tests).
 
-    ``use_actors=True`` runs each shard as a Ray actor (parallel fan-out,
-    per-actor resident state = only that shard's docstore partition files,
-    length rows and embedding rows); the in-process mode is the same code
-    path without the actor hop. ``hybrid_search`` merges per-shard vector
-    partials into the global vector top-k and is likewise bit-identical
-    to the single engine."""
+    ``self.shards`` holds one ``QueryEngine(doc_range=r)`` per range, or
+    with ``use_actors=True`` one :func:`make_query_actor` handle per range
+    (per-actor resident state = only that shard's docstore partition
+    files, length rows and embedding rows). Both modes run the same code:
+    every shard call goes through :meth:`_call`, which submits all actor
+    calls before one ``ray.get``. The merge rule per method:
+
+    - fan-out and merge: ``search`` (raw scores), ``vector_search``
+      (global vector top-k), ``boolean_search`` and ``phrase_search``
+      (range-ascending shards partition the sorted answer);
+    - owner routing (:meth:`_owner`): result meta, ``_fetch_doc_rows``
+      and ``_mlt_query`` read the shard whose range holds the doc;
+    - any shard: ``suggest``, ``fuzzy_terms``, ``corrected_query`` and
+      ``stats`` — the term dictionary and manifest scalars are
+      index-global;
+    - ``search_page``, ``search_corrected``, ``facet_counts``,
+      ``more_like_this`` and ``hybrid_search`` are the engine's own
+      methods, run over the primitives above."""
+
+    _ANY_SHARD = frozenset({"suggest", "fuzzy_terms", "corrected_query",
+                            "stats"})
 
     def __init__(self, index_dir: str, cfg: IndexConfig = IndexConfig(),
                  qcfg: QueryConfig = QueryConfig(), num_shards: int = 2,
                  use_actors: bool = False):
         self._step = 2 ** 64 // num_shards + 1
-        self._cfg = cfg
+        self.cfg = cfg
         self.qcfg = qcfg
         self.use_actors = use_actors
-        ranges = [(i * self._step, min(2 ** 64, (i + 1) * self._step))
-                  for i in range(num_shards)]
-        if use_actors:
-            # one Ray actor per range shard — queries fan out in parallel
-            # and each actor holds only its shard's resident state
-            self.actors = [_make_shard_actor(index_dir, cfg, qcfg, r)
-                           for r in ranges]
-            self.shards = []
-        else:
-            self.shards = [QueryEngine(index_dir, cfg, qcfg, doc_range=r)
-                           for r in ranges]
-            self.actors = []
+        make = make_query_actor if use_actors else QueryEngine
+        self.shards = [make(index_dir, cfg, qcfg,
+                            doc_range=(i * self._step,
+                                       min(2 ** 64, (i + 1) * self._step)))
+                       for i in range(num_shards)]
 
-    def _n_shards(self) -> int:
-        return len(self.actors) if self.use_actors else len(self.shards)
-
-    def _raw_parts(self, query: str):
+    def _call(self, name: str, args: dict[int, tuple], **kwargs) -> list:
+        """``QueryEngine.<name>(*args[i], **kwargs)`` on each shard ``i``
+        of ``args``, results in ``args`` order. Actor calls are all
+        submitted before the one ``ray.get``, so the shards run in
+        parallel."""
         if self.use_actors:
             import ray
-            return ray.get([a.search_raw.remote(query) for a in self.actors])
-        return [s.search_raw(query) for s in self.shards]
+            return ray.get([getattr(self.shards[i], name).remote(
+                *a, **kwargs) for i, a in args.items()])
+        return [getattr(self.shards[i], name)(*a, **kwargs)
+                for i, a in args.items()]
 
-    def _meta_for(self, shard_idx: int, ids: np.ndarray) -> list[dict]:
-        if self.use_actors:
-            import ray
-            return ray.get(self.actors[shard_idx].doc_meta.remote(
-                [int(i) for i in ids]))
-        return self.shards[shard_idx]._doc_meta(ids)
+    def _fanout(self, name: str, *args) -> list:
+        return self._call(name, dict.fromkeys(range(len(self.shards)), args))
+
+    def _owner(self, ids: np.ndarray) -> dict[int, np.ndarray]:
+        """Positions in ``ids`` (uint64) per owning shard, shards
+        ascending; shards that own none of them are left out."""
+        step_u = np.uint64(min(self._step, 2 ** 64 - 1))  # 1-shard step
+        owner = np.minimum(ids // step_u, len(self.shards) - 1)
+        return {int(si): np.flatnonzero(owner == si)
+                for si in np.unique(owner)}
+
+    def __getattr__(self, name: str):
+        if name not in self._ANY_SHARD:
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self._call(name, {0: args},
+                                                  **kwargs)[0]
 
     def search(self, query: str, top_k: int | None = None) -> list[dict]:
         top_k = self.qcfg.top_k if top_k is None else top_k
         if top_k <= 0:
             return []
-        parts = self._raw_parts(query)
+        parts = self._fanout("search_raw", query)
         ids = np.concatenate([p[0] for p in parts])
         scores = np.concatenate([p[1] for p in parts])
         if ids.size == 0:
@@ -1971,11 +1906,16 @@ class ShardedQueryService:
                   if float(scores[i]) > self.qcfg.min_score]
         if not picked:
             return []
-        # meta lookups route to the OWNING shard (each shard resident-
-        # loads only its range's docstore partition files)
-        metas = self._routed_meta([p[0] for p in picked])
+        picked_ids = np.array([p[0] for p in picked], dtype=np.uint64)
+        routes = self._owner(picked_ids)
+        metas: list = [None] * len(picked)
+        got = self._call("_doc_meta", {si: (picked_ids[pos],)
+                                       for si, pos in routes.items()})
+        for pos, rows in zip(routes.values(), got):
+            for j, m in zip(pos, rows):
+                metas[j] = m
         from searchengine_ray.functions.tokenizer import prepare_query
-        _, original_tokens, _ = prepare_query(query, self._cfg)
+        _, original_tokens, _ = prepare_query(query, self.cfg)
         return [{
             "doc_id": doc_id,
             "url": meta["url"],
@@ -1986,257 +1926,82 @@ class ShardedQueryService:
             "score": score,
         } for (doc_id, score), meta in zip(picked, metas)]
 
-    def _routed_meta(self, doc_ids: list[int]) -> list[dict]:
-        """Meta rows for doc_ids, each fetched from its OWNING shard."""
-        picked_ids = np.array(doc_ids, dtype=np.uint64)
-        step_u = np.uint64(min(self._step, 2 ** 64 - 1))  # 1-shard step
-        owner = np.minimum(picked_ids // step_u,
-                           self._n_shards() - 1).astype(np.int64)
-        metas: list = [None] * len(doc_ids)
-        for si in range(self._n_shards()):
-            sel = np.nonzero(owner == si)[0]
-            if sel.size:
-                got = self._meta_for(si, picked_ids[sel])
-                for j, m in zip(sel, got):
-                    metas[j] = m
-        return metas
-
-    def hybrid_search(self, query: str,
-                      top_k: int | None = None) -> list[dict]:
-        """Sharded twin of QueryEngine.hybrid_search — bit-identical
-        (asserted in tests): global-normalized BM25 top-2k from shard raw
-        scores, global vector top-k merged from per-shard partials (each
-        shard holds only its range's embedding rows; per-row dots are
-        identical to the full-matrix ones), intersection combined
-        0.7/0.3, sorted, head-k."""
-        top_k = self.qcfg.top_k if top_k is None else top_k
-        if top_k <= 0:
-            return []
-        bm25 = self.search(query, top_k=top_k * 2)
-        if not bm25:
-            return []
-        if self.use_actors:
-            import ray
-            vparts = ray.get([a.vector_search.remote(query, top_k)
-                              for a in self.actors])
-        else:
-            vparts = [s.vector_search(query, top_k) for s in self.shards]
-        allv = [t for part in vparts for t in part]
-        if not allv:
-            return bm25[:top_k]
+    def vector_search(self, query: str,
+                      top_k: int) -> list[tuple[int, float]]:
+        """Global vector top-k merged from the shards' partials (each
+        shard holds only its range's embedding rows; per-row dots equal
+        the full-matrix ones)."""
+        allv = [t for part in self._fanout("vector_search", query, top_k)
+                for t in part]
         allv.sort(key=lambda t: (-t[1], t[0]))
-        vec = dict(allv[:top_k])
-        combined = []
-        for r in bm25:
-            sim = vec.get(r["doc_id"])
-            if sim is None:
-                continue
-            row = dict(r)
-            row["score"] = (QueryEngine.HYBRID_BM25_WEIGHT * r["score"]
-                            + QueryEngine.HYBRID_VEC_WEIGHT * sim)
-            row["search_method"] = "Hybrid BM25+Embedding"
-            combined.append(row)
-        combined.sort(key=lambda x: (-x["score"], x["doc_id"]))
-        return combined[:top_k]
+        return allv[:top_k]
 
-    def search_page(self, query: str, page: int = 1, per_page: int = 15,
-                    exclude_repos: list[str] | None = None) -> dict:
-        """Reference /search handler semantics over the sharded tier —
-        delegates to the ONE implementation (_paginate over self.search),
-        bit-identical to the single engine because search() is."""
-        return _paginate(self.search, query, page, per_page, exclude_repos)
+    def _load_embeddings(self) -> bool:
+        return any(self._fanout("_load_embeddings"))
 
     def boolean_search(self, query: str, mode: str = "and",
                        exclude: str = "") -> np.ndarray:
-        """Sharded twin of QueryEngine.boolean_search: each shard's
-        range-decoded postings yield exactly its doc slice of every set
-        (decode_postings_range is bit-identical to filtering a full
-        decode), so the per-shard results partition the global answer —
-        concatenating range-ascending shards IS the sorted union."""
-        if self.use_actors:
-            import ray
-            parts = ray.get([a.boolean_search.remote(query, mode, exclude)
-                             for a in self.actors])
-        else:
-            parts = [s.boolean_search(query, mode=mode, exclude=exclude)
-                     for s in self.shards]
-        return np.concatenate(parts) if parts else \
-            np.empty(0, dtype=np.uint64)
+        """Each shard's range-decoded postings yield exactly its doc
+        slice of every set (decode_postings_range is bit-identical to
+        filtering a full decode), so concatenating range-ascending shards
+        IS the sorted global answer."""
+        return np.concatenate(self._fanout("boolean_search", query, mode,
+                                           exclude))
 
     def phrase_search(self, phrase: str) -> np.ndarray:
-        """Sharded phrase retrieval: per-shard candidate narrowing +
-        shard-resident docstore verify, concatenated (same partition
-        argument as boolean_search)."""
-        if self.use_actors:
-            import ray
-            parts = ray.get([a.phrase_search.remote(phrase)
-                             for a in self.actors])
-        else:
-            parts = [s.phrase_search(phrase) for s in self.shards]
-        return np.concatenate(parts) if parts else \
-            np.empty(0, dtype=np.uint64)
+        """Per-shard candidate narrowing + shard-resident docstore
+        verify, concatenated (same partition argument as
+        boolean_search)."""
+        return np.concatenate(self._fanout("phrase_search", phrase))
 
-    def suggest(self, prefix: str, k: int = 10) -> list[tuple[str, int]]:
-        """The (term, df) dictionary is index-global (segment files are
-        shared; range shards differ only in decode span), so any one
-        shard answers for the whole tier."""
-        if self.use_actors:
-            import ray
-            return [tuple(r) for r in
-                    ray.get(self.actors[0].suggest.remote(prefix, k))]
-        return self.shards[0].suggest(prefix, k)
+    def _fetch_doc_rows(self, ids_sorted: np.ndarray, columns: list[str]):
+        """Docstore rows of sorted ids, each from its owning shard;
+        shards are range-ascending, so the concatenation stays sorted."""
+        import pyarrow as pa
+        routes = self._owner(ids_sorted)
+        return pa.concat_tables(self._call(
+            "_fetch_doc_rows", {si: (ids_sorted[pos], columns)
+                                for si, pos in routes.items()}))
 
-    def fuzzy_terms(self, token: str, max_dist: int = 1
-                    ) -> list[tuple[str, int]]:
-        if self.use_actors:
-            import ray
-            return [tuple(r) for r in ray.get(
-                self.actors[0].fuzzy_terms.remote(token, max_dist))]
-        return self.shards[0].fuzzy_terms(token, max_dist)
+    def _mlt_query(self, doc_id: int, n_terms: int = 5) -> str:
+        """The owning shard derives the query from its resident stored
+        fields (global df and N)."""
+        (si,) = self._owner(np.array([doc_id], dtype=np.uint64))
+        return self._call("_mlt_query", {si: (doc_id, n_terms)})[0]
 
-    def facet_counts(self, query: str,
-                     fields: tuple[str, ...] = ("repo", "lang"),
-                     top_k: int = 1 << 30) -> list[tuple[str, str, int]]:
-        """Sharded facets: the (bit-identical) sharded result set, facet
-        columns fetched from each doc's OWNING shard (resident docstore
-        routing, like _routed_meta), counts merged."""
-        res = self.search(query, top_k=top_k)
-        if not res:
-            return []
-        ids = np.array([r["doc_id"] for r in res], dtype=np.uint64)
-        step_u = np.uint64(min(self._step, 2 ** 64 - 1))
-        owner = np.minimum(ids // step_u,
-                           self._n_shards() - 1).astype(np.int64)
-        cols = list(dict.fromkeys(fields))
-        counts: dict[tuple[str, str], int] = {}
-        for si in range(self._n_shards()):
-            sel = np.sort(ids[owner == si])
-            if not sel.size:
-                continue
-            if self.use_actors:
-                import ray
-                vals = ray.get(self.actors[si].doc_field_values.remote(
-                    [int(i) for i in sel], cols))
-            else:
-                t = self.shards[si]._fetch_doc_rows(sel, cols)
-                vals = {c: t[c].to_pylist() for c in cols}
-            for f in cols:
-                for v in vals[f]:
-                    key = (f, str(v))
-                    counts[key] = counts.get(key, 0) + 1
-        # same ordering contract as QueryEngine.facet_counts: fields in
-        # caller order, values ascending within a field
-        out = []
-        for f in cols:
-            out += [(f, v, c) for (ff, v), c in sorted(counts.items())
-                    if ff == f]
-        return out
-
-    def corrected_query(self, query: str, max_dist: int = 1) -> str:
-        """Any shard answers: the term dictionary and df are index-global."""
-        if self.use_actors:
-            import ray
-            return ray.get(self.actors[0].corrected_query.remote(
-                query, max_dist))
-        return self.shards[0].corrected_query(query, max_dist)
-
-    def search_corrected(self, query: str, top_k: int | None = None,
-                         max_dist: int = 1) -> tuple[list[dict], str]:
-        """Sharded did-you-mean: as-typed search first, corrected retry
-        through the SHARDED search — same contract as the single engine."""
-        res = self.search(query, top_k=top_k)
-        if res:
-            return res, query
-        fixed = self.corrected_query(query, max_dist)
-        if not fixed or fixed == query:
-            return res, query
-        return self.search(fixed, top_k=top_k), fixed
-
-    def more_like_this(self, doc_id: int, top_k: int = 10,
-                       n_terms: int = 5) -> list[dict]:
-        """Sharded MLT: the OWNING shard derives the query from its
-        resident stored fields (global df / N), then the search fans out
-        across all shards — identical to the single engine because both
-        halves are."""
-        step_u = np.uint64(min(self._step, 2 ** 64 - 1))
-        si = int(min(np.uint64(doc_id) // step_u, self._n_shards() - 1))
-        if self.use_actors:
-            import ray
-            query = ray.get(self.actors[si].mlt_query.remote(
-                int(doc_id), n_terms))
-        else:
-            query = self.shards[si]._mlt_query(doc_id, n_terms)
-        if not query:
-            return []
-        res = self.search(query, top_k=top_k + 1)
-        seed = np.uint64(doc_id)
-        return [r for r in res if np.uint64(r["doc_id"]) != seed][:top_k]
-
-    def stats(self) -> dict:
-        if self.use_actors:
-            import ray
-            return ray.get(self.actors[0].stats.remote())
-        return self.shards[0].stats()
+    # The engine's composite methods, run over this tier's primitives
+    # above — one implementation, so the tiers cannot drift apart.
+    HYBRID_BM25_WEIGHT = QueryEngine.HYBRID_BM25_WEIGHT
+    HYBRID_VEC_WEIGHT = QueryEngine.HYBRID_VEC_WEIGHT
+    hybrid_search = QueryEngine.hybrid_search
+    search_page = QueryEngine.search_page
+    search_corrected = QueryEngine.search_corrected
+    facet_counts = QueryEngine.facet_counts
+    more_like_this = QueryEngine.more_like_this
 
     def shutdown(self) -> None:
-        """Tear down shard state: kill actors (actor mode) / release each
-        in-process engine's thread pool."""
+        """Kill every shard actor, or release each in-process engine's
+        thread pool."""
         if self.use_actors:
             import ray
-            for a in self.actors:
+            for a in self.shards:
                 ray.kill(a)
-            self.actors = []
-        for s in self.shards:
-            s.close()
+        else:
+            self._fanout("close")
         self.shards = []
 
 
 def make_query_actor(index_dir: str, cfg: IndexConfig = IndexConfig(),
-                     qcfg: QueryConfig = QueryConfig(),
-                     preload_segments: bool = False):
+                     qcfg: QueryConfig = QueryConfig(), **engine_kwargs):
     """Long-lived serving actor (reference analogue: the Flask worker that
-    lazy-loads the whole index once, app.py:72-102). Returns an actor handle
-    with .search.remote(q, k). ``preload_segments=True`` front-loads every
-    segment partition into the actor at spawn (the persisted mask cache
-    loads either way), so the actor's first request is already warm."""
+    lazy-loads the whole index once, app.py:72-102): a
+    ``QueryEngine(index_dir, cfg, qcfg, **engine_kwargs)`` run as a Ray
+    actor. Every engine method, single-underscore ones included, is
+    callable as ``handle.<method>.remote(...)`` and returns what the
+    in-process engine returns. ``preload_segments=True`` front-loads
+    every segment partition at spawn, so the first request is already
+    warm; ``doc_range=(lo, hi)`` makes a range-shard actor
+    (:class:`ShardedQueryService`)."""
     import ray
-
-    @ray.remote
-    class QueryEngineActor:
-        def __init__(self):
-            self.engine = QueryEngine(index_dir, cfg, qcfg,
-                                      preload_segments=preload_segments)
-
-        def search(self, query: str, top_k: int | None = None):
-            return self.engine.search(query, top_k)
-
-        def search_wand(self, query: str, top_k: int | None = None):
-            # result-identical to search(); selective block decode
-            return self.engine.search_wand(query, top_k)
-
-        def boolean_search(self, query: str, mode: str, exclude: str):
-            return self.engine.boolean_search(query, mode=mode,
-                                              exclude=exclude)
-
-        def phrase_search(self, phrase: str):
-            return self.engine.phrase_search(phrase)
-
-        def suggest(self, prefix: str, k: int):
-            return self.engine.suggest(prefix, k)
-
-        def fuzzy_terms(self, token: str, max_dist: int):
-            return self.engine.fuzzy_terms(token, max_dist)
-
-        def facet_counts(self, query: str, fields: tuple, top_k: int):
-            return self.engine.facet_counts(query, fields, top_k)
-
-        def more_like_this(self, doc_id: int, top_k: int, n_terms: int):
-            return self.engine.more_like_this(doc_id, top_k, n_terms)
-
-        def search_corrected(self, query: str, top_k, max_dist: int):
-            return self.engine.search_corrected(query, top_k, max_dist)
-
-        def stats(self):
-            return self.engine.stats()
-
-    return QueryEngineActor.remote()
+    return ray.remote(QueryEngine).remote(index_dir, cfg, qcfg,
+                                          **engine_kwargs)

@@ -4,12 +4,17 @@ app.py:246-274 ``/health`` + ``/api/health``) over any of this repo's
 serving tiers, with zero extra dependencies (stdlib ``http.server``).
 
 The backend is ANY engine-like object exposing ``search(q, top_k)`` (and
-optionally ``hybrid_search``/``stats``): an in-process ``QueryEngine``,
-the actor-pool ``QueryService`` (result LRU + round-robin fan-out), the
-doc-range ``ShardedQueryService``, or a ``FederatedQueryEngine`` serving
-base+delta indexes. One process = one gunicorn-worker analogue; at scale
-you run one ``serve`` process per frontend node, all sharing the same
-actor tier on the Ray cluster — the index itself stays distributed.
+optionally ``hybrid_search``, ``corrected_query``, ``suggest``, ... and
+``stats``): an in-process ``QueryEngine``, the actor-pool
+``QueryService`` (result LRU + round-robin fan-out), the doc-range
+``ShardedQueryService``, a ``FederatedQueryEngine`` serving base+delta
+indexes, or the ``FederationManager`` around one. The pool forwards
+every public engine method to a ``ray.remote(QueryEngine)`` actor, and
+the sharded tier serves every method an endpoint calls, each with the
+engine's results — no endpoint degrades with the backend. One process =
+one gunicorn-worker analogue; at scale you run one ``serve`` process per
+frontend node, all sharing the same actor tier on the Ray cluster — the
+index itself stays distributed.
 
 Endpoint semantics (the handler DATA is reference-exact; ``/search``
 serves it as JSON — the engine's machine contract — while ``/`` and
@@ -141,8 +146,8 @@ class SearchApp:
     def api_suggest(self, prefix: str, k: int = 10) -> dict:
         """``/api/suggest`` — engine extension beyond the reference app:
         prefix autocomplete over the index term dictionary
-        (QueryEngine.suggest). Backends without a term dictionary (pools,
-        bare callables) yield an empty list rather than 500."""
+        (QueryEngine.suggest). Backends without a term dictionary yield
+        an empty list rather than 500."""
         fn = getattr(self.backend, "suggest", None)
         if fn is None or not prefix:
             return {"suggestions": []}

@@ -27,7 +27,8 @@ scores (asserted in tests) — under the engine's full semantics:
 - **Admissible block bound**: contribution UB per block is
   ``idf · (k1+1)·maxtf / (k1·(1−b) + maxtf) · importance`` (the
   doc-len→0 limit — codec.block_max_tf docstring), widened by 1e-9
-  relative slack so float evaluation can never under-bound.
+  relative slack so float evaluation can never under-bound; the prune's
+  boost ceiling carries the same slack (``wand_select``).
 
 Set-oriented geometric rounds (decode the globally highest-UB blocks,
 re-bound, repeat) replace the classic per-document cursor walk: numpy
@@ -149,6 +150,11 @@ def wand_select(lists: list[ListState], top_k: int, max_boost: float,
     scores from the fragments."""
     total_blocks = int(sum(ls.nblocks for ls in lists))
     rounds = 0
+    # The boost chain multiplies in sequence and can land ulps above
+    # x·max_boost, and θ is summed in another order than the final
+    # accumulation: widen the ceiling by the same relative slack as the
+    # block bounds, so a prune never drops a doc that ties the k-th.
+    ceiling = max_boost * _UB_SLACK
     M = max(8, 2 * top_k // max(1, min(ls.block_size or 128
                                        for ls in lists)))
     # incremental bookkeeping: candidates/partials carry across rounds;
@@ -193,7 +199,7 @@ def wand_select(lists: list[ListState], top_k: int, max_boost: float,
         if not undecoded_any:
             survivors = cand
             break
-        prunable = (partial + rem) * max_boost < theta
+        prunable = (partial + rem) * ceiling < theta
         force = ~full & ~prunable
         # --- choose blocks ---------------------------------------------
         # pool = undecoded blocks that can STILL produce a top-k doc: a
@@ -213,7 +219,7 @@ def wand_select(lists: list[ListState], top_k: int, max_boost: float,
             ub_eff = ls.ub[und] * ls.mult
             if np.isfinite(theta):
                 others = total_max - per_max[li]
-                m = (ub_eff + others) * max_boost >= theta
+                m = (ub_eff + others) * ceiling >= theta
                 und, ub_eff = und[m], ub_eff[m]
                 if not und.size:
                     continue

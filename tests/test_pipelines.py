@@ -3353,6 +3353,40 @@ def test_events_user_join_salted_skips_schema_probes(ray_session,
     assert compare("events_user_join_salted", out.to_pandas(), want) == []
 
 
+@pytest.mark.parametrize("name", ["doc_embedding_join",
+                                  "doc_embedding_left_join",
+                                  "doc_embedding_anti_join",
+                                  "doc_embedding_semi_join"])
+def test_doc_embedding_joins_skip_schema_probes(ray_session, monkeypatch,
+                                                name):
+    """The four doc ⋈ embedding entries pass static side schemas to
+    equi_join: building each asks no lazy Dataset for its schema, and
+    each matches the DuckDB oracle."""
+    import duckdb
+    import ray.data
+    from searchengine_ray.pipelines import driver_api
+    from tools.selfcheck import compare
+    sf = "/root/testdata/sf0.001"
+    lazy_probes = []
+    orig = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing: bool = True):
+        if fetch_if_missing and not self._plan.has_computed_output():
+            lazy_probes.append(self._plan._logical_plan.dag.name)
+        return orig(self, fetch_if_missing)
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", schema)
+    out = getattr(driver_api, f"q_{name}")(sf)
+    assert lazy_probes == []
+    monkeypatch.undo()
+    con = duckdb.connect()
+    for t in ("documents", "embeddings"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf}/{t}.parquet')")
+    want = con.execute(getattr(driver_api, f"sql_{name}")()).df()
+    assert len(want) and compare(name, out.to_pandas(), want) == []
+
+
 def test_embedding_neardup_entry_removes_its_scratch(ray_session):
     """The driver entry materializes the pairs, then removes the block
     directory it spilled them through."""

@@ -30,6 +30,28 @@ def test_query_actor_matches_inprocess(built):
         ray.kill(actor)
 
 
+def test_query_keeps_one_engine_actor_and_one_fanout():
+    """Regrowth audit for query.py's serving tiers: every actor is
+    ``ray.remote(QueryEngine)`` (make_query_actor), never a hand-written
+    ``@ray.remote`` class of forwarders, and the sharded tier's
+    actor/in-process split stays in at most 3 branches (construction,
+    the one shard-call helper, shutdown)."""
+    import ast
+    import inspect
+
+    from searchengine_ray import query
+
+    tree = ast.parse(inspect.getsource(query))
+    remote_classes = [
+        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+        and any("remote" in ast.unparse(d) for d in n.decorator_list)]
+    assert not remote_classes, remote_classes
+    branches = [n.lineno for n in ast.walk(tree)
+                if isinstance(n, (ast.If, ast.IfExp))
+                and "use_actors" in ast.unparse(n.test)]
+    assert len(branches) <= 3, branches
+
+
 def test_search_page_slices_and_filters(built):
     from searchengine_ray.query import QueryEngine
     eng = QueryEngine(built.index_dir, built.cfg)
@@ -880,7 +902,8 @@ def test_build_doc_embeddings_resumable(built, tmp_path):
 def test_http_app_over_pool_and_sharded_backends(built):
     """SearchApp is backend-agnostic: over QueryService (actor pool with
     result LRU) and ShardedQueryService it must produce the same /search
-    payload as over the in-process engine."""
+    payload as over the in-process engine — the ``did_you_mean`` hint of
+    a no-result query included — and the pool serves hybrid mode."""
     from searchengine_ray.query import (QueryEngine, QueryService,
                                         ShardedQueryService)
     from searchengine_ray.serve import SearchApp
@@ -890,11 +913,16 @@ def test_http_app_over_pool_and_sharded_backends(built):
                         cache_size=8)
     sharded = ShardedQueryService(built.index_dir, built.cfg, num_shards=2)
     try:
-        for q in ("queue71", "py org2"):
+        for q in ("queue71", "py org2", "qeue71"):
             want = base.search(q, page=1)
             assert SearchApp(pool, results_per_page=5).search(q, 1) == want
             assert SearchApp(sharded,
                              results_per_page=5).search(q, 1) == want
+        assert "did_you_mean" in base.search("qeue71", page=1)
+        SearchApp(pool, mode="hybrid")
+        for q in ("queue71", "py org2"):
+            assert pool.hybrid_search(q, top_k=10) == \
+                eng.hybrid_search(q, top_k=10), q
         # the LRU must not be corrupted by the handler's source tag
         # (handler mutates copies): two hits give identical payloads
         app = SearchApp(pool, results_per_page=5)

@@ -159,3 +159,45 @@ def test_search_wand_empty_and_topk_edges(built):
     # top_k beyond candidate count: full result, still identical
     assert eng.search_wand("queue71", top_k=5000) == \
         eng.search("queue71", top_k=5000)
+
+
+def test_wand_prune_admits_boost_chain_rounding():
+    """wand_select prunes a doc only when its bound times the boost
+    ceiling is below θ by more than float rounding. Doc 1 has base score
+    x; its full boost chain (x·1.8·3·2·1.25, multiplied in sequence)
+    rounds above x·MAX_BOOST and ties θ = the only fully decoded rival's
+    base score, so doc 1 (the smaller id) belongs in the top-1. Its
+    second list is undecoded with a bound far below x's last ulp, so
+    without a relative margin on the ceiling the prune drops it."""
+    from searchengine_ray.codec import block_max_tf
+    from searchengine_ray.query import QueryEngine
+    from searchengine_ray.wand import ListState, wand_select
+
+    def chain(x):
+        one = np.ones(1, dtype=bool)
+        return float(QueryEngine._boost_math_from(
+            None, np.array([x]), lambda f, p: one, ["a", "b"], "a b")[0])
+
+    rng = np.random.default_rng(3)
+    x = next(v for v in rng.uniform(0.5, 2.0, 1000)
+             if chain(v) > v * QueryEngine.MAX_BOOST)
+    theta = chain(x)
+    assert x * QueryEngine.MAX_BOOST < theta
+
+    def make(ids, contribs, idf):
+        ids = np.array(ids, dtype=np.uint64)
+        tfs = np.ones(len(ids), dtype=np.float32)
+        table = dict(zip(ids.tolist(), contribs))
+        ls = ListState(term="t", buf=encode_postings(ids, tfs, block_size=1),
+                       idf=idf, importance=1.0, mult=1,
+                       contrib_fn=lambda i, t: np.array(
+                           [table[v] for v in i.tolist()]))
+        ls.prepare(block_max_tf(tfs, 1), 1.2, 0.75)
+        return ls
+
+    # list A: 8 one-posting blocks, decoded in the first round (M = 8);
+    # list B: doc 1 alone, a block bound of ~1e-300
+    a = make(range(1, 9), [x, theta] + [x / 2] * 6, idf=1e6)
+    b = make([1], [1e-300], idf=1e-300)
+    survivors, _ = wand_select([a, b], 1, QueryEngine.MAX_BOOST)
+    assert 1 in survivors.tolist()
