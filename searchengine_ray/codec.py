@@ -5,8 +5,10 @@ lists (/root/reference/search_engine/indexer/indexer.py:247-248). Here each
 term's postings are doc_id-sorted, delta-encoded and varbyte-compressed
 (classic 7-bit little-endian groups, MSB = continuation), with weighted tf as
 a parallel float32 array and per-block max-tf metadata for block-max WAND
-pruning (north star). Encode and decode are numpy-vectorized — the inner
-loop is over byte-position (≤10), never over postings.
+pruning (north star). Encode and decode are numpy-vectorized: encode loops
+over byte position (≤10), never over postings; decode is one pass with no
+per-byte-position loop (each byte's value and in-value position come from
+the terminator bytes, and one ``bitwise_or.reduceat`` joins the groups).
 """
 
 from __future__ import annotations
@@ -20,45 +22,62 @@ BLOCK_SIZE_DEFAULT = 128
 CODEC_VERSION = 2
 
 
+def _varbyte_lengths(values: np.ndarray) -> np.ndarray:
+    """Bytes per value of the varbyte encoding (1..10, int64)."""
+    nbytes = np.ones(values.size, dtype=np.int64)
+    v = values >> np.uint64(7)
+    while v.any():
+        nbytes += (v > 0)
+        v >>= np.uint64(7)
+    return nbytes
+
+
+def _varbyte_bytes(values: np.ndarray, nbytes: np.ndarray,
+                   starts: np.ndarray) -> bytes:
+    """The varbyte stream of ``values`` whose encodings are ``nbytes``
+    long and begin at byte ``starts``."""
+    out = np.zeros(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
+    for k in range(int(nbytes.max())):
+        sel = nbytes > k
+        byte = ((values[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
+        byte[nbytes[sel] - 1 > k] |= np.uint8(0x80)
+        out[starts[sel] + k] = byte
+    return out.tobytes()
+
+
 def varbyte_encode(values: np.ndarray) -> bytes:
     """Encode a uint64 array; each value as little-endian 7-bit groups with
     MSB set on all but the final byte."""
     a = np.ascontiguousarray(values, dtype=np.uint64)
     if a.size == 0:
         return b""
-    nbytes = np.ones(a.size, dtype=np.int64)
-    v = a >> np.uint64(7)
-    while v.any():
-        nbytes += (v > 0)
-        v >>= np.uint64(7)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    max_len = int(nbytes.max())
-    for k in range(max_len):
-        sel = nbytes > k
-        byte = ((a[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[sel] - 1 > k)
-        byte[cont] |= np.uint8(0x80)
-        out[starts[sel] + k] = byte
-    return out.tobytes()
+    nbytes = _varbyte_lengths(a)
+    return _varbyte_bytes(a, nbytes, np.cumsum(nbytes) - nbytes)
 
 
 def varbyte_decode(buf: bytes) -> np.ndarray:
-    """Inverse of varbyte_encode; returns uint64 array."""
+    """Inverse of varbyte_encode; returns uint64 array. One pass, with no
+    per-byte-position loop: the terminator bytes (MSB clear) give the value
+    starts, a running max of those starts gives each byte's offset inside
+    its value, and one ``bitwise_or.reduceat`` over the starts joins the
+    7-bit groups shifted by 7·offset. Bytes after the last terminator (a
+    partial value) are dropped."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    if b.size == 0:
+    ends = np.flatnonzero(b < 128)
+    if ends.size == 0:
         return np.empty(0, dtype=np.uint64)
-    ends = np.nonzero(b < 128)[0]
+    b = b[:ends[-1] + 1]
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    out = np.zeros(ends.size, dtype=np.uint64)
-    for k in range(int(lengths.max())):
-        sel = lengths > k
-        out[sel] |= (b[starts[sel] + k] & np.uint8(0x7F)).astype(np.uint64) << np.uint64(7 * k)
-    return out
+    shift = np.zeros(b.size, dtype=np.int64)
+    shift[starts] = starts
+    np.maximum.accumulate(shift, out=shift)      # each byte's value start
+    np.subtract(np.arange(b.size), shift, out=shift)
+    shift *= 7
+    groups = (b & np.uint8(0x7F)).astype(np.uint64)
+    groups <<= shift.view(np.uint64)
+    return np.bitwise_or.reduceat(groups, starts)
 
 
 def _block_directory(ids: np.ndarray, vstarts: np.ndarray,
@@ -94,14 +113,9 @@ def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
         deltas[0] = ids[0]
         np.subtract(ids[1:], ids[:-1], out=deltas[1:])
     # per-value byte starts (needed for the directory)
-    nbytes = np.ones(n, dtype=np.int64)
-    v = deltas >> np.uint64(7)
-    while v.any():
-        nbytes += (v > 0)
-        v >>= np.uint64(7)
-    vends = np.cumsum(nbytes)
-    vstarts = vends - nbytes
-    vb = varbyte_encode(deltas)
+    nbytes = _varbyte_lengths(deltas)
+    vstarts = np.cumsum(nbytes) - nbytes
+    vb = _varbyte_bytes(deltas, nbytes, vstarts) if n else b""
     nblocks = (n + block_size - 1) // block_size
     header = np.array([n, len(vb), block_size, nblocks],
                       dtype=np.uint32).tobytes()
@@ -134,30 +148,17 @@ def decode_postings_range(buf: bytes, lo: int, hi: int
     the blocks whose doc_id span intersects the range; bit-identical to
     filtering a full decode (property-tested). This is what a doc-range-
     sharded query tier uses: each shard decodes ~1/K of every list."""
-    n, vb_len, block_size, nblocks, vb0 = _parse_header(buf)
+    n, _bs, nblocks, lasts = postings_block_meta(buf)
     U64_MAX = 2 ** 64 - 1
     if n == 0 or hi <= lo or lo > U64_MAX:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float32)
-    offs = np.frombuffer(buf[16:16 + 4 * nblocks], dtype=np.uint32)
-    lasts = np.frombuffer(buf[16 + 4 * nblocks:16 + 12 * nblocks],
-                          dtype=np.uint64)
     # first block whose last id ≥ lo .. first block whose predecessor's
     # last id ≥ hi (superset of intersecting blocks; exact mask below)
     b_lo = int(np.searchsorted(lasts, np.uint64(lo), side="left"))
     b_hi = min(nblocks,
                int(np.searchsorted(lasts, np.uint64(min(hi, U64_MAX + 1) - 1),
                                    side="left")) + 1)
-    if b_lo >= b_hi:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float32)
-    byte_lo = int(offs[b_lo])
-    byte_hi = int(offs[b_hi]) if b_hi < nblocks else vb_len
-    deltas = varbyte_decode(buf[vb0 + byte_lo:vb0 + byte_hi])
-    base = lasts[b_lo - 1] if b_lo > 0 else np.uint64(0)
-    ids = base + np.cumsum(deltas, dtype=np.uint64)
-    p_lo = b_lo * block_size
-    p_hi = min(n, b_hi * block_size)
-    tfs = np.frombuffer(buf[vb0 + vb_len + 4 * p_lo:
-                            vb0 + vb_len + 4 * p_hi], dtype=np.float32)
+    ids, tfs = decode_postings_blocks(buf, b_lo, b_hi)
     mask = ids >= np.uint64(lo)
     if hi <= U64_MAX:  # hi may be 2^64 (exclusive upper of the id space)
         mask &= ids < np.uint64(hi)
@@ -221,21 +222,10 @@ def encode_postings_batch(doc_ids: np.ndarray, tfs: np.ndarray,
     deltas = np.empty_like(ids)
     deltas[1:] = ids[1:] - ids[:-1]
     deltas[starts] = ids[starts]
-    nbytes = np.ones(n, dtype=np.int64)
-    v = deltas >> np.uint64(7)
-    while v.any():
-        nbytes += (v > 0)
-        v >>= np.uint64(7)
+    nbytes = _varbyte_lengths(deltas)
     vends = np.cumsum(nbytes)
     vstarts = vends - nbytes
-    out = np.zeros(int(vends[-1]), dtype=np.uint8)
-    for k in range(int(nbytes.max())):
-        sel = nbytes > k
-        byte = ((deltas[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[sel] - 1 > k)
-        byte[cont] |= np.uint8(0x80)
-        out[vstarts[sel] + k] = byte
-    vb_all = out.tobytes()
+    vb_all = _varbyte_bytes(deltas, nbytes, vstarts)
     tf_all = np.ascontiguousarray(tfs, dtype=np.float32).tobytes()
     term_vs = vstarts[starts]
     term_ve = np.concatenate([vstarts[starts[1:]], [int(vends[-1])]])

@@ -98,7 +98,8 @@ def _no_candidates(stats: dict | None) -> list[dict]:
     """Empty result of a query with nothing scorable; its ``stats`` still
     reports the counters (0 where no phase ran)."""
     if stats is not None:
-        for k in ("blocks_total", "boost_candidates", "boost_snippet_rows"):
+        for k in ("blocks_total", "boost_candidates", "boost_snippet_rows",
+                  "boost_snippet_scanned"):
             stats.setdefault(k, 0)
     return []
 
@@ -231,6 +232,7 @@ class QueryEngine:
             self._title_lower = pc.utf8_lower(cols["title"])
             self._meta_lower = pc.utf8_lower(cols["meta"])
             self._snippet_lower = pc.utf8_lower(cols["snippet"])
+            self._code_meta()
 
         self._segments: dict[int, dict[str, int]] = {}
         self._segment_tables: dict[int, object] = {}
@@ -245,6 +247,7 @@ class QueryEngine:
         import threading
         self._field_mask_cache: "collections.OrderedDict" = \
             collections.OrderedDict()
+        self._meta_mask_cache = collections.OrderedDict()  # _mask_for
         self._mask_scan_rows: dict[tuple, int] = {}
         # guards cache get/insert/evict sequences: the threaded HTTP
         # server shares one engine, and a check-then-use across an
@@ -332,8 +335,8 @@ class QueryEngine:
             for fi, pat, packed in zip(t["field"].to_pylist(),
                                        t["pattern"].to_pylist(),
                                        t["packed"].to_pylist()):
-                if len(packed) != want:
-                    continue
+                if len(packed) != want or fi == 1:
+                    continue  # meta answers come from its dictionary
                 self._field_mask_cache[(int(fi), pat)] = \
                     np.frombuffer(packed, dtype=np.uint8)
                 n += 1
@@ -1175,16 +1178,18 @@ class QueryEngine:
         nor set the normalization max. Returns (ids, exact boosted
         scores) of the resolved docs, a superset of the top-k: results
         are bit-identical to boosting everything (asserted in tests).
-        ``stats`` receives boost_candidates and boost_snippet_rows (the
-        candidates whose snippet was gathered or scanned)."""
+        ``stats`` receives boost_candidates, boost_snippet_rows (the
+        candidates whose snippet was gathered or scanned) and
+        boost_snippet_scanned (rows scanned or bit-gathered for snippet
+        patterns, summed over patterns)."""
         n = len(ids)
-        on = self._boost_fields(ids)
+        on, scanned = self._boost_fields(ids)
         every = on()
 
         def bound(snippet: bool) -> np.ndarray:
-            const = np.full(n, snippet)
             return self._boost_math_from(
-                base, lambda fi, pat: const if fi == 2 else every(fi, pat),
+                base, lambda fi, pat, sub=None: every(fi, pat) if fi != 2
+                else np.full(len(sub), snippet),
                 original_tokens, original_query)
 
         ub = bound(True)
@@ -1216,6 +1221,7 @@ class QueryEngine:
         if stats is not None:
             stats["boost_candidates"] = n
             stats["boost_snippet_rows"] = i
+            stats["boost_snippet_scanned"] = scanned[2]
         return ids[done], score[done]
 
     # Scans of at least this many rows are sliced across a thread pool:
@@ -1271,35 +1277,47 @@ class QueryEngine:
         array — O(candidates) work and allocation, as advertised."""
         return ((packed[pos >> 3] >> (7 - (pos & 7))) & 1).astype(bool)
 
-    def _peek_mask(self, key: tuple):
+    def _code_meta(self) -> None:
+        """Dictionary-code ``_meta_lower``: one ``_meta_codes`` entry per
+        doc into ``_meta_dict``, its few distinct values."""
+        import pyarrow.compute as pc
+        coded = pc.dictionary_encode(self._meta_lower)
+        self._meta_codes, self._meta_dict = (coded.indices.to_numpy(),
+                                             coded.dictionary)
+
+    def _peek_mask(self, key: tuple, cache):
         with self._mask_lock:
-            packed = self._field_mask_cache.get(key)
+            packed = cache.get(key)
             if packed is not None:
-                self._field_mask_cache.move_to_end(key)
+                cache.move_to_end(key)
             return packed
 
     def _mask_for(self, key: tuple) -> np.ndarray:
-        """Cached full-array mask for (field, pattern) — builds (outside
-        the lock; scans are idempotent) and inserts on miss."""
-        packed = self._peek_mask(key)
+        """Cached packbits mask for (field, pattern) — builds (outside
+        the lock; scans are idempotent) and inserts on miss. A meta mask
+        covers ``_meta_dict`` and has its own LRU, outside promotion and
+        persistence; the others cover the full resident field."""
+        cache = self._meta_mask_cache if key[0] == 1 \
+            else self._field_mask_cache
+        packed = self._peek_mask(key, cache)
         if packed is not None:
             return packed
         import pyarrow.compute as pc
-        fields = (self._title_lower, self._meta_lower, self._snippet_lower)
+        fields = (self._title_lower, self._meta_dict, self._snippet_lower)
         mask = pc.match_substring(fields[key[0]], key[1]).to_numpy(
             zero_copy_only=False)
         packed = np.packbits(mask)
         with self._mask_lock:
-            self._field_mask_cache[key] = packed
-            if len(self._field_mask_cache) > self._MASK_CACHE_CAP:
-                self._field_mask_cache.popitem(last=False)
+            cache[key] = packed
+            if len(cache) > self._MASK_CACHE_CAP:
+                cache.popitem(last=False)
         return packed
 
     def _promoted_mask(self, key: tuple, rows: int):
         """The cached full-array mask for ``key``. On a miss, count the
         ``rows`` about to be scanned and build the mask once the pattern
         has scanned ≥ N rows in total; None means: scan the rows."""
-        packed = self._peek_mask(key)
+        packed = self._peek_mask(key, self._field_mask_cache)
         if packed is not None:
             return packed
         with self._mask_lock:
@@ -1312,79 +1330,97 @@ class QueryEngine:
         return self._mask_for(key) if build else None
 
     def _boost_fields(self, ids: np.ndarray):
-        """The per-query ``contains`` provider of the boost phase.
+        """The per-query ``contains`` provider of the boost phase, and
+        per-field counts of the rows it scanned or bit-gathered.
 
-        ``on(rows)`` returns ``contains(field_idx, pattern) -> bool[...]``
-        (0=title, 1=meta, 2=snippet) over the candidates ``ids[rows]``
-        (``rows=None``: all of them) for ``_boost_math_from``. Each
-        answer comes from the cheapest exact source: this query's
-        whole-candidate answer (memo), a promoted full-array mask
-        (bit-gather), or a substring scan of just these rows, each field
-        gathered at most once per ``on`` call. The lazy-docstore tier
-        fetches the three fields of all candidates once, on first need."""
-        import pyarrow as pa
+        ``on(rows)`` returns ``contains(field_idx, pattern, sub=None) ->
+        bool[...]`` (0=title, 1=meta, 2=snippet) over the candidates
+        ``ids[rows]`` (``rows=None``: all of them), or only over their
+        positions ``sub``, for ``_boost_math_from``. Each answer comes
+        from the cheapest exact source: this query's memo of whole-
+        candidate answers (a subset answer is never memoized), the meta
+        dictionary's mask gathered by code, a promoted full-array mask
+        (bit-gather; promotion counts only scanned rows), or a substring
+        scan of just these rows. The lazy-docstore tier fetches the three
+        fields of all candidates once, on first need, and scans them."""
         resident = not self.lazy_docstore
-        pos = np.searchsorted(self._doc_ids, ids) if resident else None
+        # each candidate's row in the resident arrays, or in ``fetched``
+        pos = (np.searchsorted(self._doc_ids, ids) if resident
+               else np.arange(len(ids)))
         fetched: list = []
         whole: dict = {}
+        scanned = [0, 0, 0]
 
         def on(rows: np.ndarray | None = None):
-            at = pos if rows is None or pos is None else pos[rows]
+            at = pos if rows is None else pos[rows]
             taken: dict = {}
             memo = whole if rows is None else {}
 
-            def field(fi: int):
-                if fi not in taken:
-                    if resident:
-                        src = (self._title_lower, self._meta_lower,
-                               self._snippet_lower)[fi]
-                        idx = at
-                    else:
-                        if not fetched:
-                            fetched.extend(self._doc_fields_lower(ids))
-                        src, idx = fetched[fi], rows
-                    taken[fi] = (src if idx is None
-                                 else src.take(pa.array(idx)))
-                return taken[fi]
+            def field(fi: int, sel: np.ndarray, sub):
+                if sub is None and fi in taken:
+                    return taken[fi]
+                if not (resident or fetched):
+                    fetched.extend(self._doc_fields_lower(ids))
+                got = (fetched or (self._title_lower, self._meta_lower,
+                                   self._snippet_lower))[fi].take(sel)
+                if sub is None:
+                    taken[fi] = got
+                return got
 
-            def contains(fi: int, pat: str) -> np.ndarray:
+            def contains(fi: int, pat: str, sub=None) -> np.ndarray:
                 key = (fi, pat)
-                if rows is not None and key in whole:
-                    return whole[key][rows]
-                if key not in memo:
-                    packed = (self._promoted_mask(key, len(at))
+                if sub is not None and len(sub) == len(at):
+                    sub = None
+                if key in memo or (rows is not None and key in whole):
+                    got = memo[key] if key in memo else whole[key][rows]
+                    return got if sub is None else got[sub]
+                sel = at if sub is None else at[sub]
+                scanned[fi] += len(sel)
+                if resident and fi == 1:  # the dictionary's mask, by code
+                    got = self._gather_bits(self._mask_for(key),
+                                            self._meta_codes[sel])
+                else:
+                    packed = (self._promoted_mask(key, len(sel))
                               if resident else None)
-                    memo[key] = (self._gather_bits(packed, at)
-                                 if packed is not None
-                                 else self._match(field(fi), pat))
-                return memo[key]
+                    got = (self._match(field(fi, sel, sub), pat)
+                           if packed is None else
+                           self._gather_bits(packed, sel))
+                if sub is None:
+                    memo[key] = got
+                return got
 
             return contains
 
-        return on
+        return on, scanned
 
     def _apply_boosts(self, ids: np.ndarray, scores: np.ndarray,
                       original_tokens: list[str], original_query: str
                       ) -> np.ndarray:
         """Exact boosted scores of EVERY candidate — the unpruned boost
         phase (search_raw; range shards merge before any top-k)."""
-        return self._boost_math_from(scores, self._boost_fields(ids)(),
+        return self._boost_math_from(scores, self._boost_fields(ids)[0](),
                                      original_tokens, original_query)
 
     def _boost_math_from(self, scores: np.ndarray, contains,
                          original_tokens: list[str],
                          original_query: str) -> np.ndarray:
         """Reference indexer.py:405-441 boost chain over any
-        ``contains(field_idx, pattern) -> bool[n]`` provider (0=title,
-        1=desc, 2=snippet); multiplication order matches the oracle
-        exactly (phrase → title pct → desc pct → prox)."""
-        out = scores.copy()
+        ``contains(field_idx, pattern, sub=None) -> bool[...]`` provider
+        (0=title, 1=desc, 2=snippet); multiplication order matches the
+        oracle exactly (phrase → title pct → desc pct → prox). Snippet
+        patterns are asked only at the row positions ``sub`` whose answer
+        can change a score: the phrase where neither title nor desc holds
+        it (``np.where`` reads it nowhere else), each token where every
+        token before it holds (all-tokens-in-snippet)."""
+        n = len(scores)
         in_title = contains(0, original_query)
         in_desc = contains(1, original_query)
-        in_snip = contains(2, original_query)
-        out = np.where(in_title, out * 1.8,
-                       np.where(in_desc, out * 1.5,
-                                np.where(in_snip, out * 1.3, out)))
+        in_snip = np.zeros(n, dtype=bool)
+        rest = np.flatnonzero(~(in_title | in_desc))
+        in_snip[rest] = contains(2, original_query, rest)
+        out = np.where(in_title, scores * 1.8,
+                       np.where(in_desc, scores * 1.5,
+                                np.where(in_snip, scores * 1.3, scores)))
         if original_tokens:
             k = len(original_tokens)
             # Pass-count pruning (exact, measured p95 lever — the boost
@@ -1398,14 +1434,16 @@ class QueryEngine:
                 t_hits = in_title.astype(np.int64)
                 d_hits = in_desc.astype(np.int64)
             else:
-                t_hits = np.zeros(len(scores), dtype=np.int64)
-                d_hits = np.zeros(len(scores), dtype=np.int64)
-                all_in_snip = np.ones(len(scores), dtype=bool)
+                t_hits = np.zeros(n, dtype=np.int64)
+                d_hits = np.zeros(n, dtype=np.int64)
+                live = np.arange(n)     # rows holding every token so far
                 for tkn in original_tokens:
                     t_hits += contains(0, tkn)
                     d_hits += contains(1, tkn)
-                    if k > 1:
-                        all_in_snip &= contains(2, tkn)
+                    if k > 1 and live.size:
+                        live = live[contains(2, tkn, live)]
+                all_in_snip = np.zeros(n, dtype=bool)
+                all_in_snip[live] = True
             t_pct = t_hits / k
             d_pct = d_hits / k
             out = np.where(t_pct > 0, out * (1.0 + t_pct * 2.0), out)
@@ -1654,11 +1692,13 @@ class FederatedQueryEngine(QueryEngine):
                  if isinstance(getattr(e, attr), pa.ChunkedArray)
                  else getattr(e, attr) for e in engines])
             setattr(self, attr, pc.take(combined, take))
+        self._code_meta()
         self._postings_cache = {}
         self._postings_cache_cap = 100_000
         import collections
         import threading
         self._field_mask_cache = collections.OrderedDict()
+        self._meta_mask_cache = collections.OrderedDict()
         self._mask_scan_rows = {}
         self._mask_lock = threading.Lock()
 

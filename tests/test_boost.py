@@ -203,12 +203,17 @@ def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
     assert int(engine._doc_ids[b]) in [r["doc_id"] for r in got]
 
 
-def test_boost_counters_in_wand_stats(engine):
-    """search_wand(stats=) reports the boost phase: candidates boosted and
-    candidates whose snippet was gathered or scanned. A query with nothing
-    scorable (every term of ``parse token stream`` has df > N/2 here)
-    still reports the counters, as 0, on both search paths."""
-    keys = ("blocks_total", "boost_candidates", "boost_snippet_rows")
+def test_boost_counters_in_wand_stats(engine, built):
+    """search_wand(stats=) reports the boost phase: candidates boosted,
+    candidates whose snippet was gathered or scanned, and the rows scanned
+    or bit-gathered for snippet patterns. The short-circuited snippet
+    predicates keep a path query's scanned rows below (1 + k) per snippet
+    row, the count of asking the phrase and each of its k tokens on every
+    row. A query with nothing scorable (every term of ``parse token
+    stream`` has df > N/2 here) still reports the counters, as 0, on both
+    search paths."""
+    keys = ("blocks_total", "boost_candidates", "boost_snippet_rows",
+            "boost_snippet_scanned")
     cand = snip = 0
     for q in ["queue71", "py org2", "src/module_96/file_25.py", "py",
               "org2", "rust engine", "org3 java", "parse token stream"]:
@@ -216,16 +221,136 @@ def test_boost_counters_in_wand_stats(engine):
         res = engine.search_wand(q, top_k=5, stats=stats)
         assert set(keys) <= set(stats), q
         assert 0 <= stats["boost_snippet_rows"] <= stats["boost_candidates"]
+        k = len(prepare_query(q, built.cfg)[1])
+        assert stats["boost_snippet_scanned"] <= \
+            (1 + k) * stats["boost_snippet_rows"], q
         if q == "parse token stream":
             assert res == [] and stats["boost_candidates"] == 0, q
         else:
             assert res and stats["boost_candidates"] >= len(res), q
+        if q == "src/module_96/file_25.py":
+            assert k == 6 and stats["boost_snippet_rows"] > 0, q
+            assert 0 < stats["boost_snippet_scanned"] < \
+                (1 + k) * stats["boost_snippet_rows"], q
         cand += stats["boost_candidates"]
         snip += stats["boost_snippet_rows"]
     assert snip < cand  # the staged bound skipped some snippets
     stats = {}
     assert engine.search("parse token stream", top_k=5, stats=stats) == []
     assert stats == dict.fromkeys(keys, 0)
+
+
+def _reference_boost(scores, fields, toks, query):
+    """The reference boost chain with every pattern asked of every
+    candidate (``fields``: lowercased (title, meta, snippet) per row)."""
+    def has(fi, pat):
+        return np.array([pat in f[fi] for f in fields], dtype=bool)
+
+    out = np.where(has(0, query), scores * 1.8,
+                   np.where(has(1, query), scores * 1.5,
+                            np.where(has(2, query), scores * 1.3, scores)))
+    if toks:
+        k = len(toks)
+        t_pct = sum(has(0, t).astype(np.int64) for t in toks) / k
+        d_pct = sum(has(1, t).astype(np.int64) for t in toks) / k
+        out = np.where(t_pct > 0, out * (1.0 + t_pct * 2.0), out)
+        out = np.where(d_pct > 0, out * (1.0 + d_pct * 1.0), out)
+        if k > 1:
+            every = np.logical_and.reduce([has(2, t) for t in toks])
+            out = np.where(every, out * 1.25, out)
+    return out
+
+
+def _field_truth(engines) -> dict:
+    """doc_id -> lowercased (title, meta, snippet), read from eager
+    engines' per-doc object arrays."""
+    return {int(i): (str(t).lower(), str(m).lower(), str(s).lower())
+            for e in engines
+            for i, t, m, s in zip(e._doc_ids, e._title, e._meta, e._snippet)}
+
+
+@pytest.fixture(scope="module")
+def second_index(built, tmp_path_factory):
+    """A small index over another seed's corpus: its doc ids are disjoint
+    from ``built``'s and its meta dictionary is coded in another order."""
+    from searchengine_ray.build import build_index
+    from searchengine_ray.sources.corpus import read_source, write_corpus
+    root = tmp_path_factory.mktemp("second")
+    corpus = write_corpus(str(root / "corpus"), 160, seed=7,
+                          rows_per_file=80)
+    index_dir = str(root / "index")
+    build_index(read_source(corpus), index_dir, built.cfg)
+    return index_dir
+
+
+class _Hot(dict):
+    """Scan counters that promote every pattern on first use."""
+
+    def get(self, k, default=0):
+        return 10 ** 12
+
+
+@pytest.mark.parametrize("tier", ["resident", "promoted", "doc_range",
+                                  "federated", "lazy_docstore"])
+def test_short_circuit_boost_matches_reference_on_every_tier(
+        built, second_index, tier):
+    """Snippet predicates asked only where they can change a score, and
+    meta answered from its dictionary, give the reference chain's boosted
+    scores float by float, and search() its top-k, on every tier. The
+    federated tier re-codes meta over the merged arrays: its children's
+    codes index other dictionaries."""
+    from searchengine_ray.query import FederatedQueryEngine, QueryEngine
+    full = QueryEngine(built.index_dir, built.cfg)
+    other = QueryEngine(second_index, built.cfg)
+    truth = _field_truth([full, other])
+    if tier == "federated":
+        assert not set(full._doc_ids.tolist()) & set(other._doc_ids.tolist())
+        eng = FederatedQueryEngine([full, other])
+        assert len(eng._meta_dict) < len(eng._doc_ids)
+    elif tier == "doc_range":
+        eng = QueryEngine(built.index_dir, built.cfg,
+                          doc_range=(2 ** 62, 2 ** 63 + 2 ** 62))
+    else:
+        eng = QueryEngine(built.index_dir, built.cfg,
+                          lazy_docstore=tier == "lazy_docstore")
+        if tier == "promoted":
+            eng._mask_scan_rows = _Hot()
+    paths = [str(p) for p in built.table["path"].to_pylist()[:3]]
+    phrase_in_fields = phrase_open = 0
+    for q in QUERIES + ["rust engine org3", "module_1 py org2",
+                        "queue71 py"] + paths:
+        scored = eng._score_candidates(q)
+        if scored is None:
+            continue
+        ids, base, toks, oq = scored
+        fields = [truth[i] for i in ids.tolist()]
+        hit = np.array([oq in f[0] or oq in f[1] for f in fields])
+        phrase_in_fields += hit.sum()
+        phrase_open += (~hit).sum()
+        want = _reference_boost(base, fields, toks, oq)
+        on, scanned = eng._boost_fields(ids)
+        got = eng._boost_math_from(base, on(), toks, oq)
+        assert got.tobytes() == want.tobytes(), (tier, q)
+        # snippet rows asked: the phrase where title and meta miss it,
+        # then each token only where every token before it holds
+        asked = int((~hit).sum())
+        live = np.ones(len(ids), dtype=bool)
+        for t in toks if len(toks) > 1 else []:
+            asked += int(live.sum())
+            live &= np.array([t in f[2] for f in fields])
+        if len(set(toks)) == len(toks):
+            assert scanned[2] == asked, (tier, q)
+        for k in (1, 5, 20):
+            scores = want / want.max() if want.max() > 0 else want
+            order = np.lexsort((ids, -scores))[:k]
+            res = eng.search(q, top_k=k)
+            assert [(r["doc_id"], r["score"].hex()) for r in res] == \
+                _key(ids, scores, order, eng.qcfg.min_score), (tier, q, k)
+    assert phrase_in_fields > 0 and phrase_open > 0, tier
+    if tier == "promoted":
+        assert eng._field_mask_cache
+    for e in (eng, full, other):
+        e.close()
 
 
 def test_sliced_boost_scan_identical_and_joined_on_close(built,

@@ -44,6 +44,55 @@ def test_varbyte_roundtrip_property(vals):
     assert out.tolist() == v.tolist()
 
 
+def _per_position_decode(buf: bytes) -> np.ndarray:
+    """The earlier decoder, one masked pass per byte position, kept as the
+    oracle of the one-pass ``varbyte_decode``. Bytes after the last
+    terminator are dropped; it needs at least one terminator."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    if b.size == 0:
+        return np.empty(0, dtype=np.uint64)
+    ends = np.nonzero(b < 128)[0]
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    out = np.zeros(ends.size, dtype=np.uint64)
+    for k in range(int(lengths.max())):
+        sel = lengths > k
+        out[sel] |= ((b[starts[sel] + k] & np.uint8(0x7F)).astype(np.uint64)
+                     << np.uint64(7 * k))
+    return out
+
+
+# 1-byte values, full-width values ≥ 2^63 (10 groups) and everything between
+_U64 = st.one_of(st.integers(0, 127), st.integers(2**63, 2**64 - 1),
+                 st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_U64, max_size=120), st.lists(_U64, min_size=1, max_size=1),
+       st.data())
+def test_varbyte_decode_matches_per_position_oracle(vals, extra, data):
+    """One-pass decode equals the per-byte-position oracle on whole
+    streams and on a stream cut inside its last value (the partial value
+    is dropped by both); the empty buffer and a lone partial value decode
+    to nothing."""
+    v = np.array(vals, dtype=np.uint64)
+    buf = varbyte_encode(v)
+    got = varbyte_decode(buf)
+    assert got.dtype == np.uint64 and got.tolist() == v.tolist()
+    if buf:
+        assert got.tolist() == _per_position_decode(buf).tolist()
+    tail = varbyte_encode(np.array(extra, dtype=np.uint64))
+    cut = buf + tail[:data.draw(st.integers(0, len(tail) - 1), label="cut")]
+    if buf:
+        assert varbyte_decode(cut).tolist() == \
+            _per_position_decode(cut).tolist() == v.tolist()
+    else:
+        assert varbyte_decode(cut).size == 0
+    assert varbyte_decode(b"").size == 0
+
+
 def test_postings_roundtrip_empty():
     buf = encode_postings(np.array([], dtype=np.uint64),
                           np.array([], dtype=np.float32))

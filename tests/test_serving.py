@@ -1648,10 +1648,16 @@ def test_query_service_preload_segments_identical(built):
     to the lazy default (the warm state is a superset, never different)."""
     from searchengine_ray.query import QueryService
     a = QueryService(built.index_dir, built.cfg, num_actors=1)
-    b = QueryService(built.index_dir, built.cfg, num_actors=1,
-                     preload_segments=True)
-    for q in ["queue71", "py org2", "rust engine"]:
-        assert a.search(q, top_k=10) == b.search(q, top_k=10), q
+    try:
+        b = QueryService(built.index_dir, built.cfg, num_actors=1,
+                         preload_segments=True)
+        try:
+            for q in ["queue71", "py org2", "rust engine"]:
+                assert a.search(q, top_k=10) == b.search(q, top_k=10), q
+        finally:
+            b.shutdown()
+    finally:
+        a.shutdown()
 
 
 def test_global_value_rank_ranged_identical_and_bounded_fetch(events_ds,

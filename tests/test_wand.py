@@ -176,7 +176,8 @@ def test_wand_prune_admits_boost_chain_rounding():
     def chain(x):
         one = np.ones(1, dtype=bool)
         return float(QueryEngine._boost_math_from(
-            None, np.array([x]), lambda f, p: one, ["a", "b"], "a b")[0])
+            None, np.array([x]), lambda f, p, sub=None: one, ["a", "b"],
+            "a b")[0])
 
     rng = np.random.default_rng(3)
     x = next(v for v in rng.uniform(0.5, 2.0, 1000)
