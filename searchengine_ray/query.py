@@ -43,6 +43,25 @@ from searchengine_ray.state.manifest import load_manifest
 _BOOST_WORKERS = min(8, os.cpu_count() or 1)
 
 
+def _byte_trigrams(arr, chunk: int = 1 << 16) -> frozenset:
+    """Every 3-byte window of a string array's UTF-8 data, as ``bytes``,
+    from one ``np.unique`` per ``chunk`` bytes. Windows that cross a value
+    boundary stay in: a superset is still a sound absence filter."""
+    import pyarrow as pa
+    codes = [np.empty(0, dtype=np.uint32)]
+    _, offsets, data = arr.buffers()
+    if data is not None and len(arr):
+        wide = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+        at = arr.offset
+        lo, hi = np.frombuffer(offsets, wide)[[at, at + len(arr)]]
+        b = np.frombuffer(data, np.uint8)[lo:hi]
+        for s in range(0, len(b) - 2, chunk):
+            w = b[s:s + chunk + 2].astype(np.uint32)
+            codes.append(np.unique(w[:-2] << 16 | w[1:-1] << 8 | w[2:]))
+    return frozenset(c.to_bytes(3, "big")
+                     for c in np.unique(np.concatenate(codes)).tolist())
+
+
 def _paginate(search_fn, query: str, page: int, per_page: int,
               exclude_repos: list[str] | None) -> dict:
     """THE reference /search handler pagination semantics (app.py:128-185:
@@ -99,7 +118,7 @@ def _no_candidates(stats: dict | None) -> list[dict]:
     reports the counters (0 where no phase ran)."""
     if stats is not None:
         for k in ("blocks_total", "boost_candidates", "boost_snippet_rows",
-                  "boost_snippet_scanned"):
+                  "boost_snippet_scanned", "boost_patterns_absent"):
             stats.setdefault(k, 0)
     return []
 
@@ -232,7 +251,7 @@ class QueryEngine:
             self._title_lower = pc.utf8_lower(cols["title"])
             self._meta_lower = pc.utf8_lower(cols["meta"])
             self._snippet_lower = pc.utf8_lower(cols["snippet"])
-            self._code_meta()
+            self._index_fields()
 
         self._segments: dict[int, dict[str, int]] = {}
         self._segment_tables: dict[int, object] = {}
@@ -1162,9 +1181,10 @@ class QueryEngine:
         while the candidate can still reach the top-k.
 
         Stage 1 answers the title and meta patterns (short fields) for
-        every candidate and runs ``_boost_math_from`` twice, with every
-        snippet pattern answered true and then false: an upper and a
-        lower bound per candidate. They take the exact multiplication
+        every candidate and runs ``_boost_math_from`` once over two
+        copies of the base scores, with every snippet pattern answered
+        true in the first and false in the second: an upper and a lower
+        bound per candidate. They take the exact multiplication
         order of the real score and base scores are ≥ 0, so by monotone
         rounding they bound it in floating point too; where they agree
         the snippet cannot move the score and the lower bound IS it.
@@ -1181,19 +1201,21 @@ class QueryEngine:
         ``stats`` receives boost_candidates, boost_snippet_rows (the
         candidates whose snippet was gathered or scanned) and
         boost_snippet_scanned (rows scanned or bit-gathered for snippet
-        patterns, summed over patterns)."""
+        patterns, summed over patterns) and boost_patterns_absent (the
+        (field, pattern) questions a trigram summary answered)."""
         n = len(ids)
-        on, scanned = self._boost_fields(ids)
+        on, scanned, absent = self._boost_fields(ids)
         every = on()
 
-        def bound(snippet: bool) -> np.ndarray:
-            return self._boost_math_from(
-                base, lambda fi, pat, sub=None: every(fi, pat) if fi != 2
-                else np.full(len(sub), snippet),
-                original_tokens, original_query)
+        def tiled(fi: int, pat: str, sub=None) -> np.ndarray:
+            if fi == 2:
+                return sub < n
+            got = every(fi, pat)
+            return np.concatenate([got, got])
 
-        ub = bound(True)
-        score = bound(False)      # exact where it meets ub, else a floor
+        both = self._boost_math_from(np.concatenate([base, base]), tiled,
+                                     original_tokens, original_query)
+        ub, score = both[:n], both[n:]  # score: exact where it meets ub
         done = ub == score
         todo = np.flatnonzero(~done)
         todo = todo[np.argsort(-ub[todo], kind="stable")]
@@ -1222,6 +1244,7 @@ class QueryEngine:
             stats["boost_candidates"] = n
             stats["boost_snippet_rows"] = i
             stats["boost_snippet_scanned"] = scanned[2]
+            stats["boost_patterns_absent"] = len(absent)
         return ids[done], score[done]
 
     # Scans of at least this many rows are sliced across a thread pool:
@@ -1277,13 +1300,25 @@ class QueryEngine:
         array — O(candidates) work and allocation, as advertised."""
         return ((packed[pos >> 3] >> (7 - (pos & 7))) & 1).astype(bool)
 
-    def _code_meta(self) -> None:
-        """Dictionary-code ``_meta_lower``: one ``_meta_codes`` entry per
-        doc into ``_meta_dict``, its few distinct values."""
+    def _index_fields(self) -> None:
+        """Dictionary-code ``_meta_lower`` (one ``_meta_codes`` entry per
+        doc into ``_meta_dict``, its few distinct values) and summarize
+        each array ``contains`` reads (title, meta dictionary, snippet)
+        by its set of byte trigrams, ``_trigrams``."""
         import pyarrow.compute as pc
         coded = pc.dictionary_encode(self._meta_lower)
         self._meta_codes, self._meta_dict = (coded.indices.to_numpy(),
                                              coded.dictionary)
+        self._trigrams = tuple(map(_byte_trigrams, (
+            self._title_lower, self._meta_dict, self._snippet_lower)))
+
+    def _absent(self, fi: int, pat: str) -> bool:
+        """True only if no value of resident field ``fi`` contains
+        ``pat``: one of its 3-byte windows occurs nowhere in the field
+        (substring kernels compare bytes; UTF-8 is self-synchronizing).
+        Patterns under 3 bytes are never proved absent."""
+        grams, b = self._trigrams[fi], pat.encode()
+        return any(b[i:i + 3] not in grams for i in range(len(b) - 2))
 
     def _peek_mask(self, key: tuple, cache):
         with self._mask_lock:
@@ -1330,19 +1365,22 @@ class QueryEngine:
         return self._mask_for(key) if build else None
 
     def _boost_fields(self, ids: np.ndarray):
-        """The per-query ``contains`` provider of the boost phase, and
-        per-field counts of the rows it scanned or bit-gathered.
+        """The per-query ``contains`` provider of the boost phase,
+        per-field counts of the rows it scanned or bit-gathered, and the
+        set of (field, pattern) questions a trigram summary answered.
 
         ``on(rows)`` returns ``contains(field_idx, pattern, sub=None) ->
         bool[...]`` (0=title, 1=meta, 2=snippet) over the candidates
         ``ids[rows]`` (``rows=None``: all of them), or only over their
         positions ``sub``, for ``_boost_math_from``. Each answer comes
-        from the cheapest exact source: this query's memo of whole-
-        candidate answers (a subset answer is never memoized), the meta
-        dictionary's mask gathered by code, a promoted full-array mask
-        (bit-gather; promotion counts only scanned rows), or a substring
-        scan of just these rows. The lazy-docstore tier fetches the three
-        fields of all candidates once, on first need, and scans them."""
+        from the cheapest exact source, in this order: this query's memo
+        of whole-candidate answers (a subset answer is never memoized),
+        the field's trigram summary proving the pattern absent (all
+        false, nothing read), the meta dictionary's mask gathered by
+        code, a promoted full-array mask (bit-gather; promotion counts
+        only scanned rows), or a substring scan of just these rows. The
+        lazy-docstore tier has no summaries: it fetches the three fields
+        of all candidates once, on first need, and scans them."""
         resident = not self.lazy_docstore
         # each candidate's row in the resident arrays, or in ``fetched``
         pos = (np.searchsorted(self._doc_ids, ids) if resident
@@ -1350,6 +1388,7 @@ class QueryEngine:
         fetched: list = []
         whole: dict = {}
         scanned = [0, 0, 0]
+        absent: set = set()
 
         def on(rows: np.ndarray | None = None):
             at = pos if rows is None else pos[rows]
@@ -1375,8 +1414,12 @@ class QueryEngine:
                     got = memo[key] if key in memo else whole[key][rows]
                     return got if sub is None else got[sub]
                 sel = at if sub is None else at[sub]
-                scanned[fi] += len(sel)
-                if resident and fi == 1:  # the dictionary's mask, by code
+                proved = resident and self._absent(fi, pat)
+                scanned[fi] += 0 if proved else len(sel)
+                if proved:
+                    absent.add(key)
+                    got = np.zeros(len(sel), dtype=bool)
+                elif resident and fi == 1:  # the dictionary's mask, by code
                     got = self._gather_bits(self._mask_for(key),
                                             self._meta_codes[sel])
                 else:
@@ -1391,7 +1434,7 @@ class QueryEngine:
 
             return contains
 
-        return on, scanned
+        return on, scanned, absent
 
     def _apply_boosts(self, ids: np.ndarray, scores: np.ndarray,
                       original_tokens: list[str], original_query: str
@@ -1692,7 +1735,7 @@ class FederatedQueryEngine(QueryEngine):
                  if isinstance(getattr(e, attr), pa.ChunkedArray)
                  else getattr(e, attr) for e in engines])
             setattr(self, attr, pc.take(combined, take))
-        self._code_meta()
+        self._index_fields()
         self._postings_cache = {}
         self._postings_cache_cap = 100_000
         import collections

@@ -156,7 +156,8 @@ def test_staged_boost_topk_keeps_exact_tie_at_kth(engine, built, k):
 
 
 @settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
 @given(k=st.integers(2, 6), a_base=st.floats(0.5, 20.0),
        ratio=st.floats(1.01, 8.0))
 def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
@@ -205,18 +206,21 @@ def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
 
 def test_boost_counters_in_wand_stats(engine, built):
     """search_wand(stats=) reports the boost phase: candidates boosted,
-    candidates whose snippet was gathered or scanned, and the rows scanned
-    or bit-gathered for snippet patterns. The short-circuited snippet
-    predicates keep a path query's scanned rows below (1 + k) per snippet
-    row, the count of asking the phrase and each of its k tokens on every
-    row. A query with nothing scorable (every term of ``parse token
-    stream`` has df > N/2 here) still reports the counters, as 0, on both
-    search paths."""
+    candidates whose snippet was gathered or scanned, the rows scanned
+    or bit-gathered for snippet patterns, and the (field, pattern)
+    questions a trigram summary proved absent. The short-circuited
+    snippet predicates keep a multi-token query's scanned rows below
+    (1 + k) per snippet row, the count of asking the phrase and each of
+    its k tokens on every row; a path query's snippet patterns are all
+    proved absent here, so it scans none. A query with nothing scorable
+    (every term of ``parse token stream`` has df > N/2 here) still
+    reports the counters, as 0, on both search paths."""
     keys = ("blocks_total", "boost_candidates", "boost_snippet_rows",
-            "boost_snippet_scanned")
+            "boost_snippet_scanned", "boost_patterns_absent")
     cand = snip = 0
     for q in ["queue71", "py org2", "src/module_96/file_25.py", "py",
-              "org2", "rust engine", "org3 java", "parse token stream"]:
+              "org2", "rust engine", "org3 java", "queue71 py",
+              "parse token stream"]:
         stats: dict = {}
         res = engine.search_wand(q, top_k=5, stats=stats)
         assert set(keys) <= set(stats), q
@@ -230,6 +234,9 @@ def test_boost_counters_in_wand_stats(engine, built):
             assert res and stats["boost_candidates"] >= len(res), q
         if q == "src/module_96/file_25.py":
             assert k == 6 and stats["boost_snippet_rows"] > 0, q
+            assert stats["boost_patterns_absent"] > 0, q
+        if q == "queue71 py":  # both tokens occur in snippets
+            assert not any(engine._absent(2, t) for t in ("queue71", "py"))
             assert 0 < stats["boost_snippet_scanned"] < \
                 (1 + k) * stats["boost_snippet_rows"], q
         cand += stats["boost_candidates"]
@@ -269,6 +276,16 @@ def _field_truth(engines) -> dict:
             for i, t, m, s in zip(e._doc_ids, e._title, e._meta, e._snippet)}
 
 
+def _own_queries(built, full, other) -> list[str]:
+    """Queries only one child of a federation can boost: the corpus's last
+    paths (their file numbers exceed every file number of ``other``) and
+    words of ``other``'s snippets that ``full``'s snippets lack."""
+    paths = [str(p) for p in built.table["path"].to_pylist()[-3:]]
+    words = [w for s in other._snippet for w in str(s).lower().split()
+             if w.isalnum() and full._absent(2, w)]
+    return paths + words[:3]
+
+
 @pytest.fixture(scope="module")
 def second_index(built, tmp_path_factory):
     """A small index over another seed's corpus: its doc ids are disjoint
@@ -294,11 +311,13 @@ class _Hot(dict):
                                   "federated", "lazy_docstore"])
 def test_short_circuit_boost_matches_reference_on_every_tier(
         built, second_index, tier):
-    """Snippet predicates asked only where they can change a score, and
-    meta answered from its dictionary, give the reference chain's boosted
-    scores float by float, and search() its top-k, on every tier. The
-    federated tier re-codes meta over the merged arrays: its children's
-    codes index other dictionaries."""
+    """Snippet predicates asked only where they can change a score, meta
+    answered from its dictionary, and patterns proved absent by a field's
+    trigram summary give the reference chain's boosted scores float by
+    float, and search() its top-k, on every tier. The federated tier
+    re-codes meta and rebuilds the summaries over the merged arrays: its
+    children's codes index other dictionaries, and their summaries miss
+    each other's trigrams. The lazy-docstore tier has no summaries."""
     from searchengine_ray.query import FederatedQueryEngine, QueryEngine
     full = QueryEngine(built.index_dir, built.cfg)
     other = QueryEngine(second_index, built.cfg)
@@ -316,9 +335,15 @@ def test_short_circuit_boost_matches_reference_on_every_tier(
         if tier == "promoted":
             eng._mask_scan_rows = _Hot()
     paths = [str(p) for p in built.table["path"].to_pylist()[:3]]
-    phrase_in_fields = phrase_open = 0
+    own = eng._doc_ids.tolist()
+    phrase_in_fields = phrase_open = proofs = 0
+
+    def proved(pat):
+        return tier != "lazy_docstore" and eng._absent(2, pat)
+
     for q in QUERIES + ["rust engine org3", "module_1 py org2",
-                        "queue71 py"] + paths:
+                        "queue71 py"] + paths + _own_queries(built, full,
+                                                             other):
         scored = eng._score_candidates(q)
         if scored is None:
             continue
@@ -328,16 +353,20 @@ def test_short_circuit_boost_matches_reference_on_every_tier(
         phrase_in_fields += hit.sum()
         phrase_open += (~hit).sum()
         want = _reference_boost(base, fields, toks, oq)
-        on, scanned = eng._boost_fields(ids)
+        on, scanned, absent = eng._boost_fields(ids)
         got = eng._boost_math_from(base, on(), toks, oq)
         assert got.tobytes() == want.tobytes(), (tier, q)
-        # snippet rows asked: the phrase where title and meta miss it,
-        # then each token only where every token before it holds
-        asked = int((~hit).sum())
+        # snippet rows scanned: the phrase where title and meta miss it,
+        # then each token only where every token before it holds; none
+        # for a pattern the snippet summary proves absent
+        asked = 0 if proved(oq) else int((~hit).sum())
         live = np.ones(len(ids), dtype=bool)
         for t in toks if len(toks) > 1 else []:
-            asked += int(live.sum())
+            asked += 0 if proved(t) else int(live.sum())
             live &= np.array([t in f[2] for f in fields])
+        assert not any(p in truth[i][fi] for fi, p in absent
+                       for i in own), (tier, q)
+        proofs += len(absent)
         if len(set(toks)) == len(toks):
             assert scanned[2] == asked, (tier, q)
         for k in (1, 5, 20):
@@ -347,8 +376,38 @@ def test_short_circuit_boost_matches_reference_on_every_tier(
             assert [(r["doc_id"], r["score"].hex()) for r in res] == \
                 _key(ids, scores, order, eng.qcfg.min_score), (tier, q, k)
     assert phrase_in_fields > 0 and phrase_open > 0, tier
+    assert (proofs == 0) == (tier == "lazy_docstore"), tier
     if tier == "promoted":
         assert eng._field_mask_cache
+    for e in (eng, full, other):
+        e.close()
+
+
+def test_federated_stale_summary_breaks_reference_equality(built,
+                                                           second_index):
+    """The reference-equality check above catches a federated engine that
+    keeps a child's trigram summaries instead of rebuilding them over the
+    merged arrays: patterns that only the other child's docs hold are
+    then proved absent, and those docs lose their boosts."""
+    from searchengine_ray.query import FederatedQueryEngine, QueryEngine
+    full = QueryEngine(built.index_dir, built.cfg)
+    other = QueryEngine(second_index, built.cfg)
+    truth = _field_truth([full, other])
+    eng = FederatedQueryEngine([full, other])
+    for child in (full, other):
+        eng._trigrams = child._trigrams
+        broken = 0
+        for q in QUERIES + _own_queries(built, full, other):
+            scored = eng._score_candidates(q)
+            if scored is None:
+                continue
+            ids, base, toks, oq = scored
+            want = _reference_boost(base, [truth[i] for i in ids.tolist()],
+                                    toks, oq)
+            got = eng._boost_math_from(base, eng._boost_fields(ids)[0](),
+                                       toks, oq)
+            broken += got.tobytes() != want.tobytes()
+        assert broken > 0, child.index_dir
     for e in (eng, full, other):
         e.close()
 
