@@ -45,10 +45,12 @@ _BOOST_WORKERS = min(8, os.cpu_count() or 1)
 
 def _byte_trigrams(arr, chunk: int = 1 << 16) -> frozenset:
     """Every 3-byte window of a string array's UTF-8 data, as ``bytes``,
-    from one ``np.unique`` per ``chunk`` bytes. Windows that cross a value
-    boundary stay in: a superset is still a sound absence filter."""
+    folded into the distinct codes ``chunk`` bytes at a time, so the build
+    holds at most one chunk beyond the distinct trigrams. Windows that
+    cross a value boundary stay in: a superset is still a sound absence
+    filter."""
     import pyarrow as pa
-    codes = [np.empty(0, dtype=np.uint32)]
+    codes = np.empty(0, dtype=np.uint32)
     _, offsets, data = arr.buffers()
     if data is not None and len(arr):
         wide = np.int64 if pa.types.is_large_string(arr.type) else np.int32
@@ -57,9 +59,8 @@ def _byte_trigrams(arr, chunk: int = 1 << 16) -> frozenset:
         b = np.frombuffer(data, np.uint8)[lo:hi]
         for s in range(0, len(b) - 2, chunk):
             w = b[s:s + chunk + 2].astype(np.uint32)
-            codes.append(np.unique(w[:-2] << 16 | w[1:-1] << 8 | w[2:]))
-    return frozenset(c.to_bytes(3, "big")
-                     for c in np.unique(np.concatenate(codes)).tolist())
+            codes = np.union1d(codes, w[:-2] << 16 | w[1:-1] << 8 | w[2:])
+    return frozenset(c.to_bytes(3, "big") for c in codes.tolist())
 
 
 def _paginate(search_fn, query: str, page: int, per_page: int,

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from searchengine_ray.functions.tokenizer import prepare_query
@@ -156,8 +156,7 @@ def test_staged_boost_topk_keeps_exact_tie_at_kth(engine, built, k):
 
 
 @settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(k=st.integers(2, 6), a_base=st.floats(0.5, 20.0),
        ratio=st.floats(1.01, 8.0))
 def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
@@ -170,7 +169,9 @@ def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
     upper bound) sits 1 ulp under the k-th; the top doc's base is
     stepped until the normalized scores tie. Full boost then ranks the
     planted doc into the top-k on doc_id, and the staged bound must not
-    have pruned it."""
+    have pruned it. Not every (a_base, ratio) admits such a tie, so the
+    drawn pair is the start of a fixed grid and the first point of the
+    grid that does is used (found within 5 steps on 1000 random draws)."""
     _, toks, q = prepare_query("rs", built.cfg)
     n = len(engine._doc_ids)
     title = [str(v).lower() for v in engine._title]
@@ -184,19 +185,24 @@ def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
     assert len(lead) == k
     rows = np.array(sorted([b] + lead + rest))
     ids = engine._doc_ids[rows]
-    base = np.where(np.isin(rows, lead), a_base, a_base / 50)
-    y = engine._apply_boosts(engine._doc_ids[[lead[1]]], np.array([a_base]),
-                             toks, q)[0]
-    below = np.nextafter(y, -np.inf)
-    solved = _solve_base(engine, engine._doc_ids[b], toks, q, below)
-    assume(solved is not None)
+    for a in a_base * (1.0 + np.arange(64) / 64):
+        y = engine._apply_boosts(engine._doc_ids[[lead[1]]], np.array([a]),
+                                 toks, q)[0]
+        below = np.nextafter(y, -np.inf)
+        solved = _solve_base(engine, engine._doc_ids[b], toks, q, below)
+        if solved is None:
+            continue
+        # step the top doc's base until below/max == y/max in floating point
+        tops = a * ratio * (1.0 + np.arange(4096) * 2.0 ** -12)
+        m = engine._apply_boosts(np.repeat(engine._doc_ids[[lead[0]]], 4096),
+                                 tops, toks, q)
+        tie = np.flatnonzero((below / m == y / m) & (m > y))
+        if tie.size:
+            break
+    else:
+        pytest.fail(f"no one-ulp tie on the grid from {a_base!r}, {ratio!r}")
+    base = np.where(np.isin(rows, lead), a, a / 50)
     base[rows == b] = solved
-    # step the top doc's base until below/max == y/max in floating point
-    tops = a_base * ratio * (1.0 + np.arange(512) * 2.0 ** -40)
-    m = engine._apply_boosts(np.repeat(engine._doc_ids[[lead[0]]], 512),
-                             tops, toks, q)
-    tie = np.flatnonzero((below / m == y / m) & (m > y))
-    assume(tie.size > 0)
     base[rows == lead[0]] = tops[tie[0]]
     got = engine._finish_search(ids, base.copy(), toks, q, k)
     assert [(r["doc_id"], r["score"].hex()) for r in got] == \
