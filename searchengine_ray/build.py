@@ -1,20 +1,39 @@
 """Index-build orchestrator — Ray-Data-native lifecycle (SURVEY.md §3.4).
 
-    read_parquet(source).limit(2000)
-      → map_batches(tokenize + per-term df) → take_all   # hot-term probe
+    read_parquet(source).limit(sample_docs)
+      → map_batches(tokenize + per-term df, batch_size=ROWS_PER_TASK)
+      → take_all                           # hot-term probe: distinct terms
+                                           #   + 1 sentinel row per batch
     read_parquet(source)
-      → map_batches(PackRuns, pyarrow)     # ONE read, ONE tokenize:
+      → map_batches(PackRuns, pyarrow,     # ONE read, ONE tokenize, bundled
+                    batch_size=ROWS_PER_TASK)  # to ~ROWS_PER_TASK docs/task:
                                            #   ExplodePostings + docstats_batch,
                                            #   packed per (batch, partition)
       → groupby("part").map_groups(WriteRuns)   # the ONE shuffle:
                                            #   SegmentWriter | DocstoreWriter
-      → (tiny manifest-row dataset) → manifest.json
+      → take_all                           # one manifest row per written
+                                           #   partition → manifest.json
 
 Segments (term-hash partitions), lengths and docstore (doc_id-range
 partitions) share one partition-id space, so a single shuffle routes all
 three. Replaces the reference's single-process in-heap build
 (/root/reference/search_engine/indexer/indexer.py:109-167). Never calls
 ray.init/shutdown — the caller owns the session (driver contract).
+
+Both maps take ``batch_size=ROWS_PER_TASK``: Ray Data bundles consecutive
+read blocks into one task of about that many docs, so a task's fixed
+scheduling cost is paid per ~ROWS_PER_TASK docs, not per read block, and
+the shuffle's sort gets one block per bundle, so the writer stage has as
+few tasks. One map call holds at most ROWS_PER_TASK docs: its memory is
+bounded by ROWS_PER_TASK × the largest doc (its source text, tokens and
+packed postings).
+
+Both driver fetches are bounded independently of the corpus size. The
+probe returns each batch's distinct terms plus one sentinel row per batch;
+the default ``sample_docs`` (2000) ≤ ROWS_PER_TASK makes the sample one
+batch, so that is at most the distinct terms of ``sample_docs`` docs plus
+one row. The build returns one manifest row per written partition (at
+most num_partitions + num_length_partitions + num_docstore_partitions).
 
 Resume: partitions listed done in manifest.json (with their files present)
 are dropped in the map *before* the shuffle, so a restarted build re-reads
@@ -44,6 +63,14 @@ from searchengine_ray.state.manifest import (
 )
 
 
+# Docs per map call of the fused build map and the hot-term probe (module
+# docstring). The smallest of a 1024/2048/4096 sweep within noise of the
+# best (BASELINE.md), so a large corpus still has several tasks per CPU.
+# Bundling changes only which rows share a task; every writer sorts its own
+# partition, so the index bytes do not depend on it.
+ROWS_PER_TASK = 2048
+
+
 def estimate_hot_terms(source: "ray.data.Dataset", cfg: IndexConfig,
                        sample_docs: int = 2000) -> dict[str, int]:
     """Sampling pre-pass for skew: estimate per-term document frequency on a
@@ -67,7 +94,8 @@ def estimate_hot_terms(source: "ray.data.Dataset", cfg: IndexConfig,
                 pa.array([len(batch)], type=pa.int64()).cast(g["doc_count"].type)]),
         })
 
-    rows = sample.map_batches(partial_df, batch_format="pyarrow").take_all()
+    rows = sample.map_batches(partial_df, batch_format="pyarrow",
+                              batch_size=ROWS_PER_TASK).take_all()
     if not rows:
         return {}
     n = 0
@@ -173,7 +201,8 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
         writer = WriteRuns(index_dir, cfg)
         manifest_rows = (
             source.map_batches(PackRuns(cfg, hot_terms, skip),
-                               batch_format="pyarrow")
+                               batch_format="pyarrow",
+                               batch_size=ROWS_PER_TASK)
             .groupby("part")
             .map_groups(lambda g: writer(g), batch_format="pyarrow")
             .take_all()

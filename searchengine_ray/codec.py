@@ -80,48 +80,17 @@ def varbyte_decode(buf: bytes) -> np.ndarray:
     return np.bitwise_or.reduceat(groups, starts)
 
 
-def _block_directory(ids: np.ndarray, vstarts: np.ndarray,
-                     block_size: int) -> bytes:
-    """Per-block restart directory for one term's postings: byte offset of
-    each block's first delta within the vb stream (u32) + last doc_id of
-    each block (u64). The delta chain itself is untouched — the first delta
-    of block b is (first_doc − last_docs[b−1]), so a contiguous block span
-    [b_lo, b_hi) decodes standalone as cumsum(span deltas) seeded with
-    last_docs[b_lo−1] from the directory. This is the v2 layout's only
-    addition over v1 (measured here: +6.5% file bytes at block_size=128)."""
-    n = ids.size
-    nblocks = (n + block_size - 1) // block_size
-    bstarts = np.arange(nblocks, dtype=np.int64) * block_size
-    bends = np.minimum(bstarts + block_size, n)
-    offs = (vstarts[bstarts] - vstarts[0]).astype(np.uint32)
-    lasts = ids[bends - 1].astype(np.uint64)
-    return offs.tobytes() + lasts.tobytes()
-
-
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
                     block_size: int = BLOCK_SIZE_DEFAULT) -> bytes:
     """Encode one term's postings (v2 layout: header + block restart
-    directory + delta-varbyte stream + tf array). ``doc_ids`` must be
-    sorted ascending uint64 (the build sorts (term, doc_id) before
-    encoding — SURVEY.md §2.11: BM25 is order-insensitive, so sorted
-    postings preserve scores exactly while enabling delta coding, WAND
-    metadata and block-granular decode skipping)."""
-    ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
-    n = ids.size
-    deltas = np.empty_like(ids)
-    if n:
-        deltas[0] = ids[0]
-        np.subtract(ids[1:], ids[:-1], out=deltas[1:])
-    # per-value byte starts (needed for the directory)
-    nbytes = _varbyte_lengths(deltas)
-    vstarts = np.cumsum(nbytes) - nbytes
-    vb = _varbyte_bytes(deltas, nbytes, vstarts) if n else b""
-    nblocks = (n + block_size - 1) // block_size
-    header = np.array([n, len(vb), block_size, nblocks],
-                      dtype=np.uint32).tobytes()
-    directory = _block_directory(ids, vstarts, block_size) if n else b""
-    tf32 = np.ascontiguousarray(tfs, dtype=np.float32)
-    return header + directory + vb + tf32.tobytes()
+    directory + delta-varbyte stream + tf array) — the one-run case of
+    :func:`encode_postings_batch`. ``doc_ids`` must be sorted ascending
+    uint64 (the build sorts (term, doc_id) before encoding — SURVEY.md
+    §2.11: BM25 is order-insensitive, so sorted postings preserve scores
+    exactly while enabling delta coding, WAND metadata and block-granular
+    decode skipping)."""
+    return encode_postings_batch(doc_ids, tfs, np.array([0]),
+                                 np.array([len(doc_ids)]), block_size)[0]
 
 
 def _parse_header(buf: bytes) -> tuple[int, int, int, int, int]:
@@ -204,6 +173,18 @@ def decode_postings_blocks(buf: bytes, b_lo: int, b_hi: int
     return ids, tfs
 
 
+def _block_starts(starts: np.ndarray, ends: np.ndarray, block_size: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block geometry of many runs in one gather: ``offsets`` (run i owns
+    blocks offsets[i]:offsets[i+1]), each block's run and each block's
+    first posting index."""
+    nblocks = (ends - starts + block_size - 1) // block_size
+    offsets = np.concatenate([[0], np.cumsum(nblocks)])
+    run_of_block = np.repeat(np.arange(len(starts)), nblocks)
+    j = np.arange(int(offsets[-1])) - offsets[run_of_block]
+    return offsets, run_of_block, starts[run_of_block] + block_size * j
+
+
 def encode_postings_batch(doc_ids: np.ndarray, tfs: np.ndarray,
                           starts: np.ndarray, ends: np.ndarray,
                           block_size: int = BLOCK_SIZE_DEFAULT
@@ -211,39 +192,44 @@ def encode_postings_batch(doc_ids: np.ndarray, tfs: np.ndarray,
     """Encode MANY terms' postings in one vectorized pass.
 
     ``doc_ids``/``tfs`` are the concatenated per-term runs (each run sorted
-    ascending by doc_id); ``starts``/``ends`` delimit runs. Byte-identical
-    to ``encode_postings`` per run (property-tested) — the delta/varbyte
-    math runs once over the whole partition; the per-term loop only slices.
+    ascending by doc_id); ``starts``/``ends`` delimit runs, in order.
+    The delta/varbyte math and the restart directories (byte offset of
+    each block's first delta within its run's stream, u32, then the last
+    doc_id of each block, u64) are computed once over the whole
+    partition; the per-term loop only slices. The first delta of block b
+    is (first_doc − last_docs[b−1]), so a contiguous block span decodes
+    standalone seeded from the directory — the v2 layout's only addition
+    over v1 (+6.5% file bytes at block_size=128).
     """
     ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
     n = ids.size
-    if n == 0:
-        return []
     deltas = np.empty_like(ids)
     deltas[1:] = ids[1:] - ids[:-1]
-    deltas[starts] = ids[starts]
+    first = starts[ends > starts]
+    deltas[first] = ids[first]
     nbytes = _varbyte_lengths(deltas)
-    vends = np.cumsum(nbytes)
-    vstarts = vends - nbytes
-    vb_all = _varbyte_bytes(deltas, nbytes, vstarts)
+    vbounds = np.concatenate([[0], np.cumsum(nbytes)])
+    vb_all = _varbyte_bytes(deltas, nbytes, vbounds[:-1]) if n else b""
     tf_all = np.ascontiguousarray(tfs, dtype=np.float32).tobytes()
-    term_vs = vstarts[starts]
-    term_ve = np.concatenate([vstarts[starts[1:]], [int(vends[-1])]])
-    counts = (ends - starts).astype(np.uint32)
-    vb_lens = (term_ve - term_vs).astype(np.uint32)
-    term_nblocks = ((counts.astype(np.int64) + block_size - 1)
-                    // block_size).astype(np.uint32)
-    headers = np.stack([counts, vb_lens, np.full_like(counts, block_size),
-                        term_nblocks], axis=1).astype("<u4").tobytes()
-    res = []
-    for i in range(len(starts)):
-        directory = _block_directory(ids[starts[i]:ends[i]],
-                                     vstarts[starts[i]:ends[i]], block_size)
-        res.append(headers[16 * i:16 * i + 16]
-                   + directory
-                   + vb_all[term_vs[i]:term_ve[i]]
-                   + tf_all[4 * starts[i]:4 * ends[i]])
-    return res
+    term_vs = vbounds[starts]
+    term_ve = vbounds[ends]
+    offsets, run_of_block, bstarts = _block_starts(starts, ends, block_size)
+    offs = (vbounds[bstarts] - term_vs[run_of_block]).astype("<u4").tobytes()
+    bends = np.minimum(bstarts + block_size, ends[run_of_block])
+    lasts = ids[bends - 1].astype("<u8").tobytes()
+    counts = ends - starts
+    headers = np.stack([counts, term_ve - term_vs,
+                        np.full_like(counts, block_size),
+                        offsets[1:] - offsets[:-1]],
+                       axis=1).astype("<u4").tobytes()
+    o, vs, ve = offsets.tolist(), term_vs.tolist(), term_ve.tolist()
+    s, e = starts.tolist(), ends.tolist()
+    return [headers[16 * i:16 * i + 16]
+            + offs[4 * o[i]:4 * o[i + 1]] + lasts[8 * o[i]:8 * o[i + 1]]
+            + vb_all[vs[i]:ve[i]] + tf_all[4 * s[i]:4 * e[i]]
+            for i in range(len(s))]
 
 
 def block_max_tf_batch(tfs: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -253,12 +239,7 @@ def block_max_tf_batch(tfs: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     t = np.ascontiguousarray(tfs, dtype=np.float32)
     if t.size == 0:
         return []
-    counts = ends - starts
-    nblocks = (counts + block_size - 1) // block_size
-    offsets = np.concatenate([[0], np.cumsum(nblocks)])
-    term_of_block = np.repeat(np.arange(len(starts)), nblocks)
-    j = np.arange(int(offsets[-1])) - offsets[term_of_block]
-    bstarts = starts[term_of_block] + block_size * j
+    offsets, _, bstarts = _block_starts(starts, ends, block_size)
     bmax = np.maximum.reduceat(t, bstarts)
     return [bmax[offsets[i]:offsets[i + 1]].tobytes()
             for i in range(len(starts))]

@@ -425,6 +425,72 @@ def test_build_is_deterministic(ray_session, tmp_path):
         assert pq.read_table(fa).equals(pq.read_table(fb)), fa
 
 
+@pytest.mark.parametrize("rows_per_task", [None, 40])
+def test_build_is_block_layout_invariant(ray_session, tmp_path, monkeypatch,
+                                         rows_per_task):
+    """The same rows as one block or as 25-row blocks → equal segment,
+    lengths and docstore tables and equal manifests, hot_terms included:
+    bundling read blocks into map tasks of ``build.ROWS_PER_TASK`` rows
+    changes only which rows share a call. At 40 rows per task both layouts
+    end their bundles with a partial batch, so a map that lost one would
+    lose docs."""
+    import ray.data
+    import searchengine_ray.build as build
+    from searchengine_ray.sources.corpus import generate_corpus_table
+
+    if rows_per_task is not None:
+        monkeypatch.setattr(build, "ROWS_PER_TASK", rows_per_task)
+    t = generate_corpus_table(230, seed=11)
+    cfg = IndexConfig(num_partitions=8, num_length_partitions=2,
+                      num_docstore_partitions=2)
+    one = build_index(ray.data.from_arrow(t), str(tmp_path / "one"), cfg)
+    many = build_index(
+        ray.data.from_arrow([t.slice(i, 25) for i in range(0, len(t), 25)]),
+        str(tmp_path / "many"), cfg)
+    assert one["num_docs"] == len(t) and one["complete"]
+    assert one["hot_terms"]
+    assert one == many
+    for sub in ("segments", "lengths", "docstore"):
+        names = sorted(os.listdir(tmp_path / "one" / sub))
+        assert names == sorted(os.listdir(tmp_path / "many" / sub)), sub
+        for f in names:
+            assert pq.read_table(tmp_path / "one" / sub / f).equals(
+                pq.read_table(tmp_path / "many" / sub / f)), (sub, f)
+
+
+def test_build_driver_fetches_are_bounded(ray_session, tmp_path,
+                                          monkeypatch):
+    """The build's two take_all calls return what the build.py docstring
+    states, whatever the read's block layout: the hot-term probe's sample
+    is one batch (distinct terms, each once, plus one sentinel row that
+    counts the sample's docs), and the main execution returns one
+    manifest row per written partition."""
+    import ray.data
+    from searchengine_ray.sources.corpus import generate_corpus_table
+
+    fetched = []
+    real_take_all = ray.data.Dataset.take_all
+
+    def spy(self, *a, **kw):
+        rows = real_take_all(self, *a, **kw)
+        fetched.append(rows)
+        return rows
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", spy)
+    t = generate_corpus_table(230, seed=11)
+    cfg = IndexConfig(num_partitions=8, num_length_partitions=2,
+                      num_docstore_partitions=2)
+    m = build_index(
+        ray.data.from_arrow([t.slice(i, 25) for i in range(0, len(t), 25)]),
+        str(tmp_path / "idx"), cfg)
+    probe, written = fetched
+    terms = [r["term"] for r in probe if r["term"] is not None]
+    sentinels = [r["doc_count"] for r in probe if r["term"] is None]
+    assert sentinels == [len(t)]
+    assert len(terms) == len(set(terms))
+    assert len(written) == len(m["partitions"]) <= 8 + 2 + 2
+
+
 def test_resume_config_mismatch_raises(ray_session, tmp_path):
     """Resuming onto an index built with a different partition layout must
     refuse (it would mix two partition numberings)."""

@@ -107,6 +107,31 @@ def test_postings_roundtrip_single():
     assert ids.tolist() == [42] and tfs.tolist() == [3.0]
 
 
+def test_postings_v2_layout_hand_vector():
+    """The on-disk v2 bytes, written out by hand: header (n, vb_len,
+    block_size, n_blocks) as u32, the restart directory (block byte
+    offsets u32, then block last doc_ids u64), the delta varbytes, the
+    tfs as f32 — and a run inside a batch encodes to the same bytes."""
+    import struct
+
+    from searchengine_ray.codec import encode_postings_batch
+    ids = np.array([3, 10, 200], dtype=np.uint64)
+    tfs = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+    want = (struct.pack("<4I", 3, 4, 2, 2) + struct.pack("<2I", 0, 2)
+            + struct.pack("<2Q", 10, 200)
+            + bytes([3, 7, 0xBE, 0x01])          # deltas 3, 7, 190
+            + struct.pack("<3f", 1.0, 2.0, 3.0))
+    assert encode_postings(ids, tfs, block_size=2) == want
+    both = encode_postings_batch(np.concatenate([[5], ids]).astype(np.uint64),
+                                 np.concatenate([[9.0], tfs]),
+                                 np.array([0, 1]), np.array([1, 4]),
+                                 block_size=2)
+    assert both[1] == want
+    assert both[0] == (struct.pack("<4I", 1, 1, 2, 1) + struct.pack("<I", 0)
+                       + struct.pack("<Q", 5) + bytes([5])
+                       + struct.pack("<f", 9.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=2**64 - 1), max_size=150))
 def test_postings_roundtrip_property(idset):

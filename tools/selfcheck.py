@@ -10,6 +10,13 @@ transient Ray-core failure such as a raylet CHECK) is run once more, and
 the retry is printed as ``retry <name>: <error>``; a second failure
 counts.
 
+Every verdict line is flushed as soon as it is printed, so when a Ray-core
+abort kills the process mid-run, the entries already judged stay in a
+piped log. To finish such a run, pass the names that have no verdict line
+yet after the sf_dir, e.g. ``python tools/selfcheck.py sf_dir bm25_en
+hybrid_en``; the names of all entries are the keys of
+``__ray_entry__.queries()``.
+
 Usage:  python tools/selfcheck.py [sf_dir] [name ...]
 """
 
@@ -106,28 +113,29 @@ def main() -> int:
             ours = run_entry(name, fn, sf_dir)
         except Exception as ex:
             print(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
-                  f"ray raised {type(ex).__name__}: {ex}")
+                  f"ray raised {type(ex).__name__}: {ex}", flush=True)
             failures += 1
             continue
         secs = f"({time.perf_counter() - t0:.2f} s)"
         if name not in os_:
             print(f"ok   {name} {secs}: rows-only ({len(ours)} rows, "
-                  f"cols {sorted(ours.columns)})")
+                  f"cols {sorted(ours.columns)})", flush=True)
             continue
         try:
             oracle = con.execute(os_[name]).df()
         except Exception as ex:
             print(f"FAIL {name} {secs}: sql raised "
-                  f"{type(ex).__name__}: {ex}")
+                  f"{type(ex).__name__}: {ex}", flush=True)
             failures += 1
             continue
         problems = compare(name, ours, oracle)
         if problems:
             failures += 1
-            print(f"FAIL {name} {secs}: " + "; ".join(problems))
+            print(f"FAIL {name} {secs}: " + "; ".join(problems), flush=True)
         else:
-            print(f"ok   {name} {secs}: {len(ours)} rows match oracle")
-    print(f"{failures} failures")
+            print(f"ok   {name} {secs}: {len(ours)} rows match oracle",
+                  flush=True)
+    print(f"{failures} failures", flush=True)
     return 1 if failures else 0
 
 
