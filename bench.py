@@ -117,11 +117,9 @@ def run_bm25_latency(index_dir: str) -> dict:
             hlat.append((time.perf_counter() - t0) * 1000)
     lat.sort()
     hlat.sort()
-    # cold-start path with persisted masks: the warmed engine writes its
-    # packbits boost masks next to the index; a FRESH engine (new object,
-    # empty postings/mask caches in RAM) loads them at init — the first
-    # call per query is the honest "new serving process" latency
-    n_masks = eng.persist_mask_cache()
+    # cold-start path: a FRESH engine (new object, empty postings cache)
+    # with every segment preloaded — the first call per query is the
+    # honest "new serving process" latency
     eng2 = QueryEngine(index_dir, _bench_cfg(), preload_segments=True)
     cold = []
     for q in BM25_BENCH_QUERIES:
@@ -134,7 +132,6 @@ def run_bm25_latency(index_dir: str) -> dict:
             "hybrid_p50_ms": round(statistics.median(hlat), 2),
             "cold_p50_ms": round(statistics.median(cold), 2),
             "cold_p95_ms": round(cold[int(0.95 * len(cold)) - 1], 2),
-            "persisted_masks": n_masks,
             "n": len(lat)}
 
 
@@ -525,7 +522,6 @@ def main() -> None:
         "hybrid_p50_ms": bm25["hybrid_p50_ms"],
         "bm25_cold_p50_ms": bm25["cold_p50_ms"],
         "bm25_cold_p95_ms": bm25["cold_p95_ms"],
-        "persisted_masks": bm25["persisted_masks"],
         "scaling_note": "run `python bench.py --scaling` for the 8-vs-32-CPU "
                         "fresh-session efficiency (measured 0.67-0.77; "
                         "analysis in BASELINE.md); `--skew` for the "

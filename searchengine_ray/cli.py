@@ -217,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     sv.add_argument("--hybrid", action="store_true")
     sv.add_argument("--preload", action="store_true",
                     help="load every segment partition at startup so the "
-                         "first request per term pays no file I/O "
-                         "(persisted boost masks load either way)")
+                         "first request per term pays no file I/O")
     sv.set_defaults(fn=cmd_serve)
 
     args = p.parse_args(argv)

@@ -843,8 +843,14 @@ def neardup_cluster_keep(docs: "ray.data.Dataset",
             "nchars": pc.cast(pc.utf8_length(batch["text"]), pa.int64()),
         })
 
+    # static schemas skip the probes; the left one would run part of
+    # connected_components' lazy shuffle chain before the real run
     joined = equi_join(comp, docs.map_batches(lens, batch_format="pyarrow"),
-                       "doc_id", "doc_id", ["component_id"], ["nchars"])
+                       "doc_id", "doc_id", ["component_id"], ["nchars"],
+                       left_schema=pa.schema([("doc_id", pa.int64()),
+                                              ("component_id", pa.int64())]),
+                       right_schema=pa.schema([("doc_id", pa.int64()),
+                                               ("nchars", pa.int64())]))
 
     def pick(part: pa.Table) -> pa.Table:
         ids = part["key"].to_numpy(zero_copy_only=False)
@@ -1113,16 +1119,23 @@ def triangle_count(docs: "ray.data.Dataset",
     if edges is None:
         edges = minhash_lsh_pairs(docs, family=family).materialize()
 
-    def rename_c(batch: pa.Table) -> pa.Table:
-        return pa.table({"a_id": batch["a_id"],
-                         "c_id": pc.cast(batch["b_id"], pa.int64())})
+    def side(out_col: str):
+        def fn(batch: pa.Table) -> pa.Table:
+            return pa.table({"a_id": pc.cast(batch["a_id"], pa.int64()),
+                             out_col: pc.cast(batch["b_id"], pa.int64())})
+        return fn
 
-    wedges = equi_join(edges.map_batches(
-                           lambda b: b.select(["a_id", "b_id"]),
-                           batch_format="pyarrow"),
-                       edges.map_batches(rename_c,
+    def schema(*cols: str) -> pa.Schema:
+        return pa.schema([(c, pa.int64()) for c in cols])
+
+    # static side schemas: the join probes no lazy side for its schema
+    wedges = equi_join(edges.map_batches(side("b_id"),
                                          batch_format="pyarrow"),
-                       "a_id", "a_id", ["b_id"], ["c_id"])
+                       edges.map_batches(side("c_id"),
+                                         batch_format="pyarrow"),
+                       "a_id", "a_id", ["b_id"], ["c_id"],
+                       left_schema=schema("a_id", "b_id"),
+                       right_schema=schema("a_id", "c_id"))
 
     def pack_wedge(batch: pa.Table) -> pa.Table:
         b = pc.cast(batch["b_id"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -1135,14 +1148,15 @@ def triangle_count(docs: "ray.data.Dataset",
         b = pc.cast(batch["b_id"], pa.int64()).to_numpy(zero_copy_only=False)
         return pa.table({"pk": pa.array(a * PAIR_PACK + b)})
 
-    # wedges pinned: the closing join's schema probe re-executes the
-    # wedge join otherwise (edges are already materialized above)
+    # wedges pinned, so no union branch of the closing join carries the
+    # wedge join's own shuffle (edges are already materialized above)
     closed = equi_join(wedges.map_batches(
                            pack_wedge,
                            batch_format="pyarrow").materialize(),
                        edges.map_batches(pack_edge,
                                          batch_format="pyarrow"),
-                       "pk", "pk", [], [], how="semi")
+                       "pk", "pk", [], [], how="semi",
+                       right_schema=schema("pk"))
     # count() ships one scalar to the driver (the result IS a scalar)
     n = closed.count()
     return ray.data.from_arrow(pa.table({

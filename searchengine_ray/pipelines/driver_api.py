@@ -386,8 +386,10 @@ def q_docstore_sha(sf_dir: str) -> pa.Table:
         return pa.table({"doc_id": ids,
                          "sha_hex": _hex_of_binary(t["content_sha256"])})
 
+    # materialized first: to_arrow_refs() of a lazy Dataset asks for its
+    # schema afterwards, which runs the read once more
     ds = (ray.data.read_parquet(files, columns=["title", "content_sha256"])
-          .map_batches(to_rows, batch_format="pyarrow"))
+          .map_batches(to_rows, batch_format="pyarrow").materialize())
     import ray as _ray
     tables = _ray.get(ds.to_arrow_refs())
     return pa.concat_tables([t for t in tables if len(t)]).combine_chunks()

@@ -392,9 +392,11 @@ def pagerank_int(pairs: "ray.data.Dataset", nodes: "ray.data.Dataset",
             ["dst"], sum_reduce)
 
         # right_schema skips the per-ROUND schema probe that executed
-        # the whole contrib-join + sum shuffle a second time each round
+        # the whole contrib-join + sum shuffle a second time each round;
+        # left_schema skips a probe of the projected ranks
         joined = equi_join(ranks.select_columns(["node"]), sums,
                            "node", "dst", [], ["c"], how="left",
+                           left_schema=pa.schema([("node", pa.int64())]),
                            right_schema=pa.schema([
                                ("dst", pa.int64()), ("c", pa.int64())]))
 

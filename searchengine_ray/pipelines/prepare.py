@@ -83,12 +83,19 @@ def prepare_corpus(docs: "ray.data.Dataset", *, bench_mod: int = 37,
 
     surv = kept.map_batches(clean, batch_format="pyarrow")
 
-    # left_schema skips the join's schema probe, which would EXECUTE
-    # the whole curate shuffle a second time (text shipped twice)
-    joined = equi_join(surv, docs.select_columns(["doc_id", "source"]),
+    def doc_source(batch: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": pc.cast(batch["doc_id"], pa.int64()),
+                         "source": pc.cast(batch["source"], pa.string())})
+
+    # static schemas skip the join's schema probes; the left one would
+    # EXECUTE the whole curate shuffle a second time (text shipped twice)
+    joined = equi_join(surv, docs.map_batches(doc_source,
+                                              batch_format="pyarrow"),
                        "doc_id", "doc_id", ["n_tokens"], ["source"],
                        left_schema=pa.schema([("doc_id", pa.int64()),
-                                              ("n_tokens", pa.int64())]))
+                                              ("n_tokens", pa.int64())]),
+                       right_schema=pa.schema([("doc_id", pa.int64()),
+                                               ("source", pa.string())]))
 
     def cap_partial(batch: pa.Table) -> pa.Table:
         ids = batch["key"].to_numpy(zero_copy_only=False)

@@ -39,10 +39,6 @@ from searchengine_ray.functions.tokenizer import (
 from searchengine_ray.stages.postings import salt_of
 from searchengine_ray.state.manifest import load_manifest
 
-# threads of an engine's boost pool (QueryEngine._match)
-_BOOST_WORKERS = min(8, os.cpu_count() or 1)
-
-
 def _byte_trigrams(arr, chunk: int = 1 << 16) -> frozenset:
     """Every 3-byte window of a string array's UTF-8 data, as ``bytes``,
     folded into the distinct codes ``chunk`` bytes at a time, so the build
@@ -261,108 +257,11 @@ class QueryEngine:
         self._postings_cache: dict[str, object] = {}
         self._df_cache: dict[tuple[int, str], int | None] = {}
         self._postings_cache_cap = 100_000
-        # boost-phase token-mask cache: (field, pattern) → packbits mask
-        # over the FULL resident field array (see _apply_boosts)
-        import collections
-        import threading
-        self._field_mask_cache: "collections.OrderedDict" = \
-            collections.OrderedDict()
-        self._meta_mask_cache = collections.OrderedDict()  # _mask_for
-        self._mask_scan_rows: dict[tuple, int] = {}
-        # guards cache get/insert/evict sequences: the threaded HTTP
-        # server shares one engine, and a check-then-use across an
-        # eviction would otherwise KeyError
-        self._mask_lock = threading.Lock()
-        self._load_mask_cache()
         if preload_segments and not lazy_segments:
             import concurrent.futures as _cf
             with _cf.ThreadPoolExecutor(max_workers=8) as pool:
                 list(pool.map(self._load_part,
                               range(self.num_partitions)))
-
-    # -- mask-cache persistence (cold-p95 lever) ----------------------------
-    # The packbits boost masks are deterministic per (field, pattern) given
-    # the resident docstore, so an engine that learned them can write them
-    # next to the index and every FRESH engine (new process, new round)
-    # starts with a warm boost phase instead of re-scanning the fields.
-    def _mask_store_path(self) -> str:
-        tag = ("full" if self.doc_range is None
-               else f"{self.doc_range[0]}-{self.doc_range[1]}")
-        return os.path.join(self.index_dir, "mask_cache",
-                            f"masks-{tag}.parquet")
-
-    def _docstore_fingerprint(self) -> str:
-        """Cheap staleness guard for persisted masks: the docstore file
-        list + byte sizes + mtime_ns (a rewrite that happens to preserve
-        every file size — e.g. a same-shape delta merge — still bumps
-        mtime; round-4 advice)."""
-        parts = []
-        for f in self._docstore_files:
-            try:
-                st = os.stat(os.path.join(self._docstore_dir, f))
-                parts.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
-            except OSError:
-                parts.append(f"{f}:?")
-        return f"n={len(self._doc_ids)};" + ",".join(parts)
-
-    def persist_mask_cache(self) -> int:
-        """Write the accumulated packbits masks to the index dir
-        (atomic tmp→rename; parquet: field int8, pattern string, packed
-        binary). Returns the number of entries written (0 = nothing to
-        persist / lazy docstore). Idempotent; safe to call any time."""
-        if self.lazy_docstore:
-            return 0
-        with self._mask_lock:
-            items = list(self._field_mask_cache.items())
-        if not items:
-            return 0
-        import pyarrow as pa
-        path = self._mask_store_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        t = pa.table({
-            "field": pa.array([k[0] for k, _ in items], type=pa.int8()),
-            "pattern": pa.array([k[1] for k, _ in items],
-                                type=pa.string()),
-            "packed": pa.array([v.tobytes() for _, v in items],
-                               type=pa.binary()),
-        })
-        t = t.replace_schema_metadata(
-            {b"docstore_fingerprint":
-             self._docstore_fingerprint().encode()})
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return len(items)
-
-    def _load_mask_cache(self) -> int:
-        """Seed the mask cache from a persisted file (if present and its
-        docstore fingerprint still matches). Returns entries loaded."""
-        if self.lazy_docstore:
-            return 0
-        path = self._mask_store_path()
-        if not os.path.exists(path):
-            return 0
-        try:
-            t = pq.read_table(path)
-        except Exception:
-            return 0  # unreadable/corrupt → treat as absent
-        meta = (t.schema.metadata or {}).get(b"docstore_fingerprint")
-        if meta is None or meta.decode() != self._docstore_fingerprint():
-            return 0  # docstore changed since persist → stale, ignore
-        want = (len(self._doc_ids) + 7) // 8
-        n = 0
-        with self._mask_lock:
-            for fi, pat, packed in zip(t["field"].to_pylist(),
-                                       t["pattern"].to_pylist(),
-                                       t["packed"].to_pylist()):
-                if len(packed) != want or fi == 1:
-                    continue  # meta answers come from its dictionary
-                self._field_mask_cache[(int(fi), pat)] = \
-                    np.frombuffer(packed, dtype=np.uint8)
-                n += 1
-                if n >= self._MASK_CACHE_CAP:
-                    break
-        return n
 
     def _select_range_files(self, dir_path: str, part_base: int,
                             num_parts: int | None) -> list[str]:
@@ -1199,11 +1098,13 @@ class QueryEngine:
         nor set the normalization max. Returns (ids, exact boosted
         scores) of the resolved docs, a superset of the top-k: results
         are bit-identical to boosting everything (asserted in tests).
+        Each call is self-contained: the field answers come from
+        ``_boost_fields``, which keeps nothing across queries.
         ``stats`` receives boost_candidates, boost_snippet_rows (the
-        candidates whose snippet was gathered or scanned) and
-        boost_snippet_scanned (rows scanned or bit-gathered for snippet
-        patterns, summed over patterns) and boost_patterns_absent (the
-        (field, pattern) questions a trigram summary answered)."""
+        candidates whose snippet was gathered or scanned),
+        boost_snippet_scanned (rows scanned for snippet patterns, summed
+        over patterns) and boost_patterns_absent (the (field, pattern)
+        questions a trigram summary answered)."""
         n = len(ids)
         on, scanned, absent = self._boost_fields(ids)
         every = on()
@@ -1248,58 +1149,11 @@ class QueryEngine:
             stats["boost_patterns_absent"] = len(absent)
         return ids[done], score[done]
 
-    # Scans of at least this many rows are sliced across a thread pool:
-    # the substring kernel (Arrow) releases the GIL and is elementwise
-    # per doc, so slicing is bit-identical (asserted in tests).
-    _BOOST_PARALLEL_MIN = 4096
-
     def close(self) -> None:
-        """Stop and join the lazily created boost thread pool. Safe to
-        call more than once; the engine remains usable (the pool
-        re-creates on the next large scan)."""
-        pool = getattr(self, "_boost_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._boost_pool = None
-
-    def _match(self, arr, pat: str) -> np.ndarray:
-        """``pc.match_substring(arr, pat)`` as a bool array, sliced
-        across the boost pool when it is large and the host has cores."""
-        import pyarrow.compute as pc
-
-        def scan(a) -> np.ndarray:
-            return pc.match_substring(a, pat).to_numpy(zero_copy_only=False)
-
-        nw = min(_BOOST_WORKERS,
-                 len(arr) // (self._BOOST_PARALLEL_MIN // 2))
-        if len(arr) < self._BOOST_PARALLEL_MIN or nw < 2:
-            return scan(arr)
-        if getattr(self, "_boost_pool", None) is None:
-            import concurrent.futures as cf
-            self._boost_pool = cf.ThreadPoolExecutor(
-                max_workers=_BOOST_WORKERS)
-        bounds = np.linspace(0, len(arr), nw + 1).astype(np.int64)
-        return np.concatenate(list(self._boost_pool.map(
-            scan, [arr.slice(s, e - s)
-                   for s, e in zip(bounds[:-1], bounds[1:])])))
-
-    # Token-mask cache (the multi-pattern lever for repeated patterns):
-    # the boost phase is a DRAM-bound substring scan whose patterns repeat
-    # across queries (token vocab). Cumulative per-(field, pattern) counts
-    # of the rows actually scanned decide when caching pays: once a
-    # pattern has scanned ≥ N rows in total, its FULL-array match mask is
-    # computed once (same pc.match_substring kernel — exact by
-    # construction, asserted by the bm25/hybrid oracle entries and the
-    # equality test), stored as a packbits bitmap (N/8 bytes), and every
-    # later lookup of that pattern becomes an O(candidates) bit-gather
-    # instead of an O(candidates × bytes) scan.
-    _MASK_CACHE_CAP = 4096         # ≈ N/8 bytes per entry (packbits)
-
-    @staticmethod
-    def _gather_bits(packed: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """bool[pos] from a packbits bitmap WITHOUT unpacking the full
-        array — O(candidates) work and allocation, as advertised."""
-        return ((packed[pos >> 3] >> (7 - (pos & 7))) & 1).astype(bool)
+        """A no-op: the engine holds no threads or open handles, and its
+        boost phase keeps no state across queries. Callers that own an
+        engine's lifetime (perfbench, ``FederationManager._compact``)
+        call it when they are done with the engine."""
 
     def _index_fields(self) -> None:
         """Dictionary-code ``_meta_lower`` (one ``_meta_codes`` entry per
@@ -1321,53 +1175,9 @@ class QueryEngine:
         grams, b = self._trigrams[fi], pat.encode()
         return any(b[i:i + 3] not in grams for i in range(len(b) - 2))
 
-    def _peek_mask(self, key: tuple, cache):
-        with self._mask_lock:
-            packed = cache.get(key)
-            if packed is not None:
-                cache.move_to_end(key)
-            return packed
-
-    def _mask_for(self, key: tuple) -> np.ndarray:
-        """Cached packbits mask for (field, pattern) — builds (outside
-        the lock; scans are idempotent) and inserts on miss. A meta mask
-        covers ``_meta_dict`` and has its own LRU, outside promotion and
-        persistence; the others cover the full resident field."""
-        cache = self._meta_mask_cache if key[0] == 1 \
-            else self._field_mask_cache
-        packed = self._peek_mask(key, cache)
-        if packed is not None:
-            return packed
-        import pyarrow.compute as pc
-        fields = (self._title_lower, self._meta_dict, self._snippet_lower)
-        mask = pc.match_substring(fields[key[0]], key[1]).to_numpy(
-            zero_copy_only=False)
-        packed = np.packbits(mask)
-        with self._mask_lock:
-            cache[key] = packed
-            if len(cache) > self._MASK_CACHE_CAP:
-                cache.popitem(last=False)
-        return packed
-
-    def _promoted_mask(self, key: tuple, rows: int):
-        """The cached full-array mask for ``key``. On a miss, count the
-        ``rows`` about to be scanned and build the mask once the pattern
-        has scanned ≥ N rows in total; None means: scan the rows."""
-        packed = self._peek_mask(key, self._field_mask_cache)
-        if packed is not None:
-            return packed
-        with self._mask_lock:
-            c = self._mask_scan_rows.get(key, 0) + rows
-            build = c >= len(self._doc_ids)
-            if build:
-                self._mask_scan_rows.pop(key, None)
-            elif len(self._mask_scan_rows) < self._postings_cache_cap:
-                self._mask_scan_rows[key] = c
-        return self._mask_for(key) if build else None
-
     def _boost_fields(self, ids: np.ndarray):
         """The per-query ``contains`` provider of the boost phase,
-        per-field counts of the rows it scanned or bit-gathered, and the
+        per-field counts of the rows it scanned or gathered, and the
         set of (field, pattern) questions a trigram summary answered.
 
         ``on(rows)`` returns ``contains(field_idx, pattern, sub=None) ->
@@ -1377,11 +1187,19 @@ class QueryEngine:
         from the cheapest exact source, in this order: this query's memo
         of whole-candidate answers (a subset answer is never memoized),
         the field's trigram summary proving the pattern absent (all
-        false, nothing read), the meta dictionary's mask gathered by
-        code, a promoted full-array mask (bit-gather; promotion counts
-        only scanned rows), or a substring scan of just these rows. The
-        lazy-docstore tier has no summaries: it fetches the three fields
-        of all candidates once, on first need, and scans them."""
+        false, nothing read), a substring scan of the meta dictionary's
+        few values gathered by ``_meta_codes``, or a substring scan of
+        just these rows. Nothing outlives the query: the memo dies with
+        the provider, so the boost phase does the same work on a fresh
+        engine and a resident one. The lazy-docstore tier has no summaries: it
+        fetches the three fields of all candidates once, on first need,
+        and scans them."""
+        import pyarrow.compute as pc
+
+        def match(arr, pat: str) -> np.ndarray:
+            return pc.match_substring(arr, pat).to_numpy(
+                zero_copy_only=False)
+
         resident = not self.lazy_docstore
         # each candidate's row in the resident arrays, or in ``fetched``
         pos = (np.searchsorted(self._doc_ids, ids) if resident
@@ -1420,15 +1238,10 @@ class QueryEngine:
                 if proved:
                     absent.add(key)
                     got = np.zeros(len(sel), dtype=bool)
-                elif resident and fi == 1:  # the dictionary's mask, by code
-                    got = self._gather_bits(self._mask_for(key),
-                                            self._meta_codes[sel])
+                elif resident and fi == 1:  # the dictionary's answer, by code
+                    got = match(self._meta_dict, pat)[self._meta_codes[sel]]
                 else:
-                    packed = (self._promoted_mask(key, len(sel))
-                              if resident else None)
-                    got = (self._match(field(fi, sel, sub), pat)
-                           if packed is None else
-                           self._gather_bits(packed, sel))
+                    got = match(field(fi, sel, sub), pat)
                 if sub is None:
                     memo[key] = got
                 return got
@@ -1739,12 +1552,6 @@ class FederatedQueryEngine(QueryEngine):
         self._index_fields()
         self._postings_cache = {}
         self._postings_cache_cap = 100_000
-        import collections
-        import threading
-        self._field_mask_cache = collections.OrderedDict()
-        self._meta_mask_cache = collections.OrderedDict()
-        self._mask_scan_rows = {}
-        self._mask_lock = threading.Lock()
 
     def term_df(self, term: str) -> int | None:
         dfs = [d for d in (e.term_df(term) for e in self.engines)

@@ -4,8 +4,6 @@ candidate returns (same ids, bit-identical scores), for any base scores."""
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -213,7 +211,7 @@ def test_staged_boost_topk_keeps_doc_one_ulp_below_kth(engine, built, k,
 def test_boost_counters_in_wand_stats(engine, built):
     """search_wand(stats=) reports the boost phase: candidates boosted,
     candidates whose snippet was gathered or scanned, the rows scanned
-    or bit-gathered for snippet patterns, and the (field, pattern)
+    for snippet patterns, and the (field, pattern)
     questions a trigram summary proved absent. The short-circuited
     snippet predicates keep a multi-token query's scanned rows below
     (1 + k) per snippet row, the count of asking the phrase and each of
@@ -306,15 +304,8 @@ def second_index(built, tmp_path_factory):
     return index_dir
 
 
-class _Hot(dict):
-    """Scan counters that promote every pattern on first use."""
-
-    def get(self, k, default=0):
-        return 10 ** 12
-
-
-@pytest.mark.parametrize("tier", ["resident", "promoted", "doc_range",
-                                  "federated", "lazy_docstore"])
+@pytest.mark.parametrize("tier", ["resident", "doc_range", "federated",
+                                  "lazy_docstore"])
 def test_short_circuit_boost_matches_reference_on_every_tier(
         built, second_index, tier):
     """Snippet predicates asked only where they can change a score, meta
@@ -338,8 +329,6 @@ def test_short_circuit_boost_matches_reference_on_every_tier(
     else:
         eng = QueryEngine(built.index_dir, built.cfg,
                           lazy_docstore=tier == "lazy_docstore")
-        if tier == "promoted":
-            eng._mask_scan_rows = _Hot()
     paths = [str(p) for p in built.table["path"].to_pylist()[:3]]
     own = eng._doc_ids.tolist()
     phrase_in_fields = phrase_open = proofs = 0
@@ -383,8 +372,6 @@ def test_short_circuit_boost_matches_reference_on_every_tier(
                 _key(ids, scores, order, eng.qcfg.min_score), (tier, q, k)
     assert phrase_in_fields > 0 and phrase_open > 0, tier
     assert (proofs == 0) == (tier == "lazy_docstore"), tier
-    if tier == "promoted":
-        assert eng._field_mask_cache
     for e in (eng, full, other):
         e.close()
 
@@ -418,24 +405,38 @@ def test_federated_stale_summary_breaks_reference_equality(built,
         e.close()
 
 
-def test_sliced_boost_scan_identical_and_joined_on_close(built,
-                                                         monkeypatch):
-    """Scans sliced across the boost pool equal one unsliced scan, and
-    close() leaves no pool thread running."""
-    import searchengine_ray.query as query
-    plain = query.QueryEngine(built.index_dir, built.cfg)
-    monkeypatch.setattr(query, "_BOOST_WORKERS", 3)
-    sliced = query.QueryEngine(built.index_dir, built.cfg)
-    sliced._BOOST_PARALLEL_MIN = 16
-    before = set(threading.enumerate())
-    for q in ["py org2", "org3 java", "src/module_96/file_25.py"]:
-        ids, s = plain.search_raw(q)
-        ids2, s2 = sliced.search_raw(q)
-        assert len(ids) >= 16, q
-        assert np.array_equal(ids, ids2) and s.tobytes() == s2.tobytes(), q
-        assert sliced.search(q, top_k=5) == plain.search(q, top_k=5), q
-    assert sliced._boost_pool is not None
-    sliced.close()
-    plain.close()
-    assert sliced._boost_pool is None
-    assert set(threading.enumerate()) <= before
+def test_boost_phase_keeps_no_cross_query_state(built):
+    """Two passes of ``QUERIES`` through one resident engine return what
+    a fresh engine returns per query, results and ``stats=`` counters
+    alike, and the only engine attributes that grow are the postings
+    side's caches: the boost phase carries nothing from one query to the
+    next."""
+    from searchengine_ray.query import QueryEngine
+    grows = {"_postings_cache", "_df_cache", "_segments",
+             "_segment_tables", "_dl_rmq"}
+
+    def run(eng, q):
+        out = []
+        for method in (eng.search, eng.search_wand):
+            stats: dict = {}
+            res = method(q, top_k=20, stats=stats)
+            out.append(([(r["doc_id"], r["score"].hex()) for r in res],
+                        stats))
+        return out
+
+    def sizes(eng):
+        return {k: len(v) if hasattr(v, "__len__") else None
+                for k, v in vars(eng).items() if k not in grows}
+
+    want = {}
+    for q in QUERIES:
+        fresh = QueryEngine(built.index_dir, built.cfg)
+        want[q] = run(fresh, q)
+        fresh.close()
+    eng = QueryEngine(built.index_dir, built.cfg)
+    before = sizes(eng)
+    for _ in range(2):
+        for q in QUERIES:
+            assert run(eng, q) == want[q], q
+        assert sizes(eng) == before
+    eng.close()

@@ -758,79 +758,6 @@ def test_boost_pruning_equivalent(built):
                [(r["doc_id"], r["score"]) for r in full], q
 
 
-def test_boost_mask_cache_equivalent(built, monkeypatch):
-    """The cross-query token-mask cache (full-array scan + packbits +
-    bit-gather) must be BIT-identical to the per-candidate slice scan for
-    every query, cold and warm, and must actually be exercised."""
-    from searchengine_ray.query import QueryEngine
-    cached = QueryEngine(built.index_dir, built.cfg)
-    plain = QueryEngine(built.index_dir, built.cfg)
-    # force the mask path on one engine (counters pre-hot: every pattern
-    # immediately crosses the build threshold) and off the other
-    # (counters pinned far below it)
-    class _Hot(dict):
-        def get(self, k, default=0):
-            return 10 ** 12
-
-    class _Cold(dict):
-        def get(self, k, default=0):
-            return -10 ** 12
-
-    cached._mask_scan_rows = _Hot()
-    plain._mask_scan_rows = _Cold()
-    queries = ["queue71", "py org2", "parse token stream", "rust engine",
-               "src/module_96/file_25.py", "hashMap codec"]
-    for q in queries:
-        want = plain.search(q, top_k=2000)
-        assert cached.search(q, top_k=2000) == want, (q, "cold")
-        assert cached.search(q, top_k=2000) == want, (q, "warm")
-    # plain never cached; cached did (for queries with candidates)
-    assert not plain._field_mask_cache
-    assert cached._field_mask_cache
-
-
-def test_mask_cache_persisted_path_equivalent(built):
-    """Round-4 cold-p95 lever: a warmed engine persists its packbits masks
-    into the index dir; a FRESH engine loads them at init (before any
-    query) and must return bit-identical results. A stale docstore
-    fingerprint must make the loader ignore the file."""
-    import os
-    import shutil
-
-    from searchengine_ray.query import QueryEngine
-
-    class _Hot(dict):
-        def get(self, k, default=0):
-            return 10 ** 12
-
-    queries = ["queue71", "py org2", "parse token stream", "rust engine",
-               "src/module_96/file_25.py", "hashMap codec"]
-    mask_dir = os.path.join(built.index_dir, "mask_cache")
-    try:
-        warm = QueryEngine(built.index_dir, built.cfg)
-        warm._mask_scan_rows = _Hot()
-        want = {q: warm.search(q, top_k=2000) for q in queries}
-        n = warm.persist_mask_cache()
-        assert n > 0 and n == len(warm._field_mask_cache)
-
-        fresh = QueryEngine(built.index_dir, built.cfg)
-        assert len(fresh._field_mask_cache) == n  # loaded at init
-        for q in queries:
-            assert fresh.search(q, top_k=2000) == want[q], q
-        # idempotent round-trip: persisting the loaded cache is stable
-        assert fresh.persist_mask_cache() >= n
-
-        # staleness guard: fingerprint mismatch → file ignored
-        stale = QueryEngine.__new__(QueryEngine)
-        stale.__dict__.update(fresh.__dict__)
-        stale._field_mask_cache = type(fresh._field_mask_cache)()
-        stale._docstore_fingerprint = lambda: "something-else"
-        assert stale._load_mask_cache() == 0
-        assert not stale._field_mask_cache
-    finally:
-        shutil.rmtree(mask_dir, ignore_errors=True)
-
-
 def test_train_centroids_offset_ids(ray_session):
     """Sampling must work for ANY id scheme (the smallest-ids sample, not
     a 0-based prefix filter): offset ids train fine, empty input raises."""
@@ -3356,16 +3283,23 @@ def test_events_user_join_salted_skips_schema_probes(ray_session,
 @pytest.mark.parametrize("name", ["doc_embedding_join",
                                   "doc_embedding_left_join",
                                   "doc_embedding_anti_join",
-                                  "doc_embedding_semi_join"])
+                                  "doc_embedding_semi_join",
+                                  "dedup_triangles",
+                                  "dedup_cluster_keep",
+                                  "dedup_graph_pagerank",
+                                  "docstore_sha256",
+                                  "prepare_corpus"])
 def test_doc_embedding_joins_skip_schema_probes(ray_session, monkeypatch,
                                                 name):
-    """The four doc ⋈ embedding entries pass static side schemas to
-    equi_join: building each asks no lazy Dataset for its schema, and
-    each matches the DuckDB oracle."""
+    """Gate entries whose joins pass static side schemas to equi_join
+    (the four doc ⋈ embedding joins, the triangle, cluster-keep and
+    PageRank dedup graphs, prepare_corpus) or materialize before
+    ``to_arrow_refs`` (docstore_sha256): running each asks no lazy
+    Dataset for its schema, and each matches the DuckDB oracle."""
     import duckdb
     import ray.data
     from searchengine_ray.pipelines import driver_api
-    from tools.selfcheck import compare
+    from tools.selfcheck import TABLES, compare, to_pandas
     sf = "/root/testdata/sf0.001"
     lazy_probes = []
     orig = ray.data.Dataset.schema
@@ -3376,15 +3310,15 @@ def test_doc_embedding_joins_skip_schema_probes(ray_session, monkeypatch,
         return orig(self, fetch_if_missing)
 
     monkeypatch.setattr(ray.data.Dataset, "schema", schema)
-    out = getattr(driver_api, f"q_{name}")(sf)
+    out = driver_api.build_queries()[name](sf)
     assert lazy_probes == []
     monkeypatch.undo()
     con = duckdb.connect()
-    for t in ("documents", "embeddings"):
+    for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{sf}/{t}.parquet')")
-    want = con.execute(getattr(driver_api, f"sql_{name}")()).df()
-    assert len(want) and compare(name, out.to_pandas(), want) == []
+    want = con.execute(driver_api.build_oracles()[name]).df()
+    assert len(want) and compare(name, to_pandas(out), want) == []
 
 
 def test_embedding_neardup_entry_removes_its_scratch(ray_session):
@@ -3613,6 +3547,23 @@ def test_triangle_count_synthetic_clique(ray_session):
     })
     [row] = triangle_count(ray.data.from_arrow(t)).take_all()
     assert row["n_triangles"] == 4
+
+
+def test_triangle_count_int32_edges(ray_session):
+    """A caller's ``edges`` of int32 ids count like int64 ones (the join
+    sides declare int64 static schemas)."""
+    import pyarrow as pa
+    import ray.data
+    from searchengine_ray.pipelines.dedup import triangle_count
+    # a 4-clique on 0..3 (4 triangles), a triangle 10-11-12, a wedge 20-21-22
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+             (10, 11), (10, 12), (11, 12), (20, 21), (20, 22)]
+    edges = ray.data.from_arrow(pa.table({
+        "a_id": pa.array([a for a, _ in pairs], type=pa.int32()),
+        "b_id": pa.array([b for _, b in pairs], type=pa.int32()),
+    })).materialize()
+    [row] = triangle_count(None, edges=edges).take_all()
+    assert row["n_triangles"] == 5
 
 
 def test_supplier_variety_matches_pandas(ray_session):
