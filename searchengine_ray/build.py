@@ -1,9 +1,12 @@
 """Index-build orchestrator — Ray-Data-native lifecycle (SURVEY.md §3.4).
 
-    read_parquet(source).limit(sample_docs)
-      → map_batches(tokenize + per-term df, batch_size=ROWS_PER_TASK)
-      → take_all                           # hot-term probe: distinct terms
-                                           #   + 1 sentinel row per batch
+    read_parquet(source).select_columns(["content"])
+      .limit(ceil(HOT_PROBE_HITS / hot_term_df_ratio))   # 500 docs at 5 %
+      → map_batches(tokenize + df over     # hot-term probe: one np.unique
+                    dictionary codes,      #   of doc × V + code, bincount
+                    batch_size=ROWS_PER_TASK)
+      → take_all                           # distinct terms + 1 sentinel
+                                           #   row per batch
     read_parquet(source)
       → map_batches(PackRuns, pyarrow,     # ONE read, ONE tokenize, bundled
                     batch_size=ROWS_PER_TASK)  # to ~ROWS_PER_TASK docs/task:
@@ -28,12 +31,27 @@ few tasks. One map call holds at most ROWS_PER_TASK docs: its memory is
 bounded by ROWS_PER_TASK × the largest doc (its source text, tokens and
 packed postings).
 
+The hot-term probe is a serial prefix of every fresh build, so it is sized
+to the decision it makes: a term at the threshold ratio r is expected in
+HOT_PROBE_HITS sampled docs, which takes ceil(HOT_PROBE_HITS / r) docs, and
+its map gets only ``content``, the one column it tokenizes. (Ray Data
+applies that projection after the limit, not in the parquet read, so the
+read still decodes every source column of the blocks it touches.) A
+prefix sample is enough because over-salting a cold term costs one more
+query-side probe, and missing a hot one only leaves its partition
+larger.
+
 Both driver fetches are bounded independently of the corpus size. The
-probe returns each batch's distinct terms plus one sentinel row per batch;
-the default ``sample_docs`` (2000) ≤ ROWS_PER_TASK makes the sample one
-batch, so that is at most the distinct terms of ``sample_docs`` docs plus
-one row. The build returns one manifest row per written partition (at
-most num_partitions + num_length_partitions + num_docstore_partitions).
+probe returns each batch's distinct terms plus one sentinel row per batch,
+and its sample depends only on the ratio: at the default 5 % the 500 docs
+are one batch (≤ ROWS_PER_TASK), so the fetch is at most the distinct
+terms of 500 docs plus one row. The build returns one manifest row per
+written partition (at most num_partitions + num_length_partitions +
+num_docstore_partitions).
+
+The manifest's ``build_stats`` are informational and never compared on
+resume: the probe's sampled docs and seconds, the partition skew (max /
+median segment rows) and the number of salted terms.
 
 Resume: partitions listed done in manifest.json (with their files present)
 are dropped in the map *before* the shuffle, so a restarted build re-reads
@@ -43,7 +61,10 @@ docstore partitions are missing it does not tokenize.
 
 from __future__ import annotations
 
+import math
 import os
+import statistics
+import time
 from typing import Any
 
 import numpy as np
@@ -71,33 +92,40 @@ from searchengine_ray.state.manifest import (
 ROWS_PER_TASK = 2048
 
 
-def estimate_hot_terms(source: "ray.data.Dataset", cfg: IndexConfig,
-                       sample_docs: int = 2000) -> dict[str, int]:
-    """Sampling pre-pass for skew: estimate per-term document frequency on a
-    bounded prefix sample; terms with df-ratio above cfg.hot_term_df_ratio
-    are salted across sub-partitions proportional to their hotness.
-    Over-salting a cold term costs nothing but an extra query-side probe, so
-    prefix (rather than uniform) sampling bias is acceptable (SURVEY.md §4)."""
-    sample = source.limit(sample_docs)
+# A term at the hot threshold is expected in this many sampled docs: the
+# probe reads ceil(HOT_PROBE_HITS / cfg.hot_term_df_ratio) docs (500 at the
+# default 5 %).
+HOT_PROBE_HITS = 25
+
+
+def sample_df(source: "ray.data.Dataset", cfg: IndexConfig
+              ) -> tuple[dict[str, int], int]:
+    """Per-term document frequency over a bounded prefix of ``source``'s
+    ``content`` column, and the number of docs sampled.
+
+    The prefix is ``ceil(HOT_PROBE_HITS / cfg.hot_term_df_ratio)`` docs, and
+    only ``content`` reaches the map. Each batch counts df over dictionary
+    codes: one ``np.unique`` of ``doc × V + code`` (V distinct terms) gives
+    the distinct (doc, term) pairs and a ``bincount`` of their codes the df.
+    A batch returns its distinct terms plus one sentinel row (term=None)
+    that carries its doc count."""
+    limit = math.ceil(HOT_PROBE_HITS / cfg.hot_term_df_ratio)
+    sample = source.select_columns(["content"]).limit(limit)
 
     def partial_df(batch: pa.Table) -> pa.Table:
         di, toks = tokenize_column(batch["content"], cfg)
-        t = pa.table({"doc": pa.array(di), "term": toks})
-        g = (t.group_by(["doc", "term"], use_threads=False).aggregate([])
-             .group_by("term", use_threads=False).aggregate([("doc", "count")]))
-        # sentinel row carries the batch's doc count (term=None)
+        dic = toks.dictionary_encode()
+        vocab = max(1, len(dic.dictionary))
+        pairs = np.unique(di * vocab + dic.indices.to_numpy(zero_copy_only=False))
+        df = np.bincount(pairs % vocab, minlength=len(dic.dictionary))
         return pa.table({
-            "term": pa.concat_arrays([g["term"].combine_chunks(),
+            "term": pa.concat_arrays([dic.dictionary,
                                       pa.nulls(1, pa.string())]),
-            "doc_count": pa.concat_arrays([
-                g["doc_count"].combine_chunks(),
-                pa.array([len(batch)], type=pa.int64()).cast(g["doc_count"].type)]),
+            "doc_count": pa.array(np.append(df, len(batch)).astype(np.int64)),
         })
 
     rows = sample.map_batches(partial_df, batch_format="pyarrow",
                               batch_size=ROWS_PER_TASK).take_all()
-    if not rows:
-        return {}
     n = 0
     df: dict[str, int] = {}
     for r in rows:
@@ -105,15 +133,33 @@ def estimate_hot_terms(source: "ray.data.Dataset", cfg: IndexConfig,
             n += int(r["doc_count"])
         else:
             df[r["term"]] = df.get(r["term"], 0) + int(r["doc_count"])
+    return df, n
+
+
+def select_hot_terms(df: dict[str, int], n: int,
+                     cfg: IndexConfig) -> dict[str, int]:
+    """Terms whose sampled df-ratio exceeds cfg.hot_term_df_ratio, each with
+    its salt count: proportional to its hotness, at least 2, at most
+    cfg.num_partitions."""
     n = max(1, n)
     hot: dict[str, int] = {}
     for term, c in df.items():
         ratio = c / n
         if ratio > cfg.hot_term_df_ratio:
-            # salts ∝ hotness, capped by partition count
             hot[term] = int(min(cfg.num_partitions,
                                 max(2, round(ratio / cfg.hot_term_df_ratio))))
     return hot
+
+
+def estimate_hot_terms(source: "ray.data.Dataset",
+                       cfg: IndexConfig) -> dict[str, int]:
+    """Sampling pre-pass for skew: estimate per-term document frequency on a
+    bounded prefix sample (``sample_df``); terms with df-ratio above
+    cfg.hot_term_df_ratio are salted across sub-partitions proportional to
+    their hotness. Over-salting a cold term costs nothing but an extra
+    query-side probe, so prefix (rather than uniform) sampling bias is
+    acceptable (SURVEY.md §4)."""
+    return select_hot_terms(*sample_df(source, cfg), cfg)
 
 
 def build_index(source: "ray.data.Dataset", index_dir: str,
@@ -185,12 +231,21 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
         # docstore needs rebuilding, so the map does not tokenize
         skip |= set(range(total_parts))
 
+    # the probe that chose hot_terms: none when they are pinned or carried
+    # from a prior run (whose own probe figures are kept)
+    probe = {"hot_probe_docs": 0, "hot_probe_s": 0.0}
     if hot_terms_override is not None:
         hot_terms = {t: int(n) for t, n in hot_terms_override.items()}
     elif prior and prior.get("hot_terms") is not None:
         hot_terms = {t: int(n) for t, n in prior["hot_terms"].items()}
+        probe = {k: prior.get("build_stats", {}).get(k, v)
+                 for k, v in probe.items()}
     elif salt_hot_terms:
-        hot_terms = estimate_hot_terms(source, cfg)
+        t0 = time.perf_counter()
+        df, n = sample_df(source, cfg)
+        hot_terms = select_hot_terms(df, n, cfg)
+        probe = {"hot_probe_docs": n,
+                 "hot_probe_s": time.perf_counter() - t0}
     else:
         hot_terms = {}
 
@@ -222,6 +277,8 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
                    if e["kind"] == "lengths")
     num_terms = sum(e["terms"] for e in partitions.values()
                     if e["kind"] == "segment")
+    seg_rows = [e["rows"] for e in partitions.values()
+                if e["kind"] == "segment"]
     # complete requires: a full (non-only_parts) run, actual documents
     # observed (guards a resume against an empty/mis-pathed source being
     # marked complete), and every recorded partition done
@@ -250,6 +307,15 @@ def build_index(source: "ray.data.Dataset", index_dir: str,
                                                     - set(done))),
         "complete": complete,
         "partitions": partitions,
+        # informational (the resume check above compares none of these):
+        # the hot-term probe's sampled docs and wall, max/median segment
+        # rows, and how many terms are salted
+        "build_stats": {
+            **probe,
+            "partition_skew": (max(seg_rows) / statistics.median(seg_rows)
+                               if seg_rows else 0.0),
+            "salted_terms": len(hot_terms),
+        },
     }
     save_manifest(index_dir, manifest)
     return manifest

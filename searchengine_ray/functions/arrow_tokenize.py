@@ -6,6 +6,12 @@ hashing). Output token streams are guaranteed equal to
 ``functions.tokenizer.tokenize`` (property-tested), because both follow the
 same ASCII-class regex chain (tokenizer.py docstring; reference semantics
 /root/reference/utils/text_processing.py:40-81).
+
+``normalize_column`` runs six passes: the two camelCase splits,
+utf8_lower, HTML entities, URLs, and one ``[^a-z0-9\\s]`` → space pass.
+The last stands for the twins' ``[^\\w\\s-]`` and ``[-_]`` passes: after
+utf8_lower no ASCII uppercase is left, so both replace the same
+characters, one space each (property-tested against the two-pass chain).
 """
 
 from __future__ import annotations
@@ -23,14 +29,13 @@ _STEPS: list[tuple[str, str]] = [
 _POST_LOWER_STEPS: list[tuple[str, str]] = [
     (r"&\w+;", " "),
     (r"https?://\S+", " "),
-    (r"[^\w\s-]", " "),
-    (r"[-_]", " "),
+    (r"[^a-z0-9\s]", " "),
 ]
 
 
 def normalize_column(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Apply the full normalization chain; result splits on whitespace into
-    raw tokens (len filter still to apply)."""
+    """Apply the full normalization chain (module docstring); the result
+    splits on whitespace into raw tokens (len filter still to apply)."""
     out = arr
     for pat, rep in _STEPS:
         out = pc.replace_substring_regex(out, pattern=pat, replacement=rep)
@@ -141,9 +146,14 @@ def weighted_term_counts(fields: list[tuple[pa.Array | pa.ChunkedArray, float]],
 
     Reference semantics /root/reference/search_engine/indexer/indexer.py:58-107:
     tokenize each field, filter, then ``weighted[token] += boost`` per
-    occurrence. Returns a table ``(doc_index:int64, term:string, wtf:float64)``
-    aggregated across all fields; wtf values are integral sums of the boost
-    constants, hence exactly representable (SURVEY.md §1.4).
+    occurrence. Returns a table ``(doc_index:int64,
+    term:dictionary<int32, string>, wtf:float64)`` with one row per
+    (doc, term) across all fields, in (doc_index, code) order. The batch's
+    tokens are dictionary-encoded once; wtf is summed on the int64 key
+    ``doc_index × V + code`` (V distinct terms), and ``term`` keeps that
+    dictionary, so a caller routes over the distinct terms without encoding
+    again. wtf values are integral sums of the boost constants, hence exact
+    in any summation order (SURVEY.md §1.4).
     """
     idx_parts: list[np.ndarray] = []
     tok_parts: list[pa.Array] = []
@@ -158,14 +168,20 @@ def weighted_term_counts(fields: list[tuple[pa.Array | pa.ChunkedArray, float]],
     if not idx_parts:
         return pa.table({
             "doc_index": pa.array([], type=pa.int64()),
-            "term": pa.array([], type=pa.string()),
+            "term": pa.DictionaryArray.from_arrays(
+                pa.array([], type=pa.int32()), pa.array([], type=pa.string())),
             "wtf": pa.array([], type=pa.float64()),
         })
-    t = pa.table({
-        "doc_index": pa.array(np.concatenate(idx_parts)),
-        "term": pa.concat_arrays([p.combine_chunks() if isinstance(p, pa.ChunkedArray) else p
-                                  for p in tok_parts]),
-        "wtf": pa.array(np.concatenate(boost_parts)),
+    dic = pa.concat_arrays(tok_parts).dictionary_encode()
+    vocab = len(dic.dictionary)
+    key = (np.concatenate(idx_parts) * vocab
+           + dic.indices.to_numpy(zero_copy_only=False))
+    uniq, inverse = np.unique(key, return_inverse=True)
+    wtf = np.bincount(inverse, weights=np.concatenate(boost_parts))
+    doc_index, codes = np.divmod(uniq, vocab)
+    return pa.table({
+        "doc_index": pa.array(doc_index),
+        "term": pa.DictionaryArray.from_arrays(
+            pa.array(codes.astype(np.int32)), dic.dictionary),
+        "wtf": pa.array(wtf),
     })
-    grouped = t.group_by(["doc_index", "term"], use_threads=False).aggregate([("wtf", "sum")])
-    return grouped.rename_columns(["doc_index", "term", "wtf"])

@@ -32,9 +32,11 @@ def doc_keys(batch: pa.Table) -> pa.Array:
     return pc.binary_join_element_wise(part1, str_col(batch, "commit"), "@")
 
 
-def docstats_batch(batch: pa.Table) -> pa.Table:
+def docstats_batch(batch: pa.Table, ids=None) -> pa.Table:
+    """``ids``: ``hash64_array(doc_keys(batch))``, when the caller has it."""
     keys = doc_keys(batch)
-    ids = hash64_array(keys)
+    if ids is None:
+        ids = hash64_array(keys)
     content = str_col(batch, "content")
     snippet_head = pc.utf8_slice_codeunits(content, 0, 200)
     nonempty = pc.greater(pc.utf8_length(content), 0)

@@ -109,9 +109,12 @@ class ExplodePostings:
             for t, n in self.hot_terms.items()
         }
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 ids: np.ndarray | None = None) -> pa.Table:
+        """``ids``: the batch's doc ids, when the caller has hashed them."""
         cfg = self.cfg
-        ids = hash64_array(doc_keys(batch))
+        if ids is None:
+            ids = hash64_array(doc_keys(batch))
         counts = weighted_term_counts(
             [
                 (str_col(batch, "path"), cfg.title_boost),
@@ -124,10 +127,8 @@ class ExplodePostings:
         )
         doc_index = counts["doc_index"].to_numpy(zero_copy_only=False)
         post_doc_ids = ids[doc_index]
-        terms = counts["term"]
         wtf = counts["wtf"].to_numpy(zero_copy_only=False)
-        dic = (terms.combine_chunks() if isinstance(terms, pa.ChunkedArray)
-               else terms).dictionary_encode()
+        dic = counts["term"].combine_chunks()
         codes = dic.indices.to_numpy(zero_copy_only=False)
         uniq = dic.dictionary.to_pylist()
         # partition by hash of the DISTINCT term, gathered through codes
@@ -163,13 +164,11 @@ class ExplodePostings:
         len_parts = (cfg.num_partitions
                      + range_partition_ids(ids, cfg.num_length_partitions)
                      ).astype(np.int32)
-        term_col = terms.combine_chunks() if isinstance(
-            terms, pa.ChunkedArray) else terms
         return pa.Table.from_arrays(
             [
                 pa.array(np.concatenate([parts, len_parts])),
-                pa.concat_arrays([term_col, pa.nulls(len(batch),
-                                                     type=pa.string())]),
+                pa.concat_arrays([dic.dictionary.take(dic.indices),
+                                  pa.nulls(len(batch), type=pa.string())]),
                 pa.array(np.concatenate([post_doc_ids, ids])),
                 pa.array(np.concatenate([wtf, doc_len]).astype(np.float32)),
             ],
@@ -329,7 +328,12 @@ def pack_by_part(table: pa.Table, parts: np.ndarray,
     slice. All streams go to one buffer, so the payload column is built
     without copying them."""
     keep = np.nonzero(~np.isin(parts, skip))[0]
-    order = keep[np.argsort(parts[keep], kind="stable")]
+    key = parts[keep]
+    if key.size and key.max() <= np.iinfo(np.int16).max:
+        # numpy's stable argsort of 16-bit ints is a radix sort: linear,
+        # ~7x faster than on the int32 ids, and the same permutation
+        key = key.astype(np.int16)
+    order = keep[np.argsort(key, kind="stable")]
     ids, starts = np.unique(parts[order], return_index=True)
     ends = np.append(starts[1:], len(order))
     rows = table.take(pa.array(order))
@@ -367,14 +371,15 @@ class PackRuns:
             total, total + cfg.num_docstore_partitions)) <= set(skip)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        doc_ids = hash64_array(doc_keys(batch))
         ids, payloads = [], []
         if self.explode is not None:
-            posts = self.explode(batch)
+            posts = self.explode(batch, doc_ids)
             i, p = pack_by_part(posts, posts["part"].to_numpy(), self.skip)
             ids.append(i)
             payloads.append(p)
         if self.docstore:
-            docs = docstats_batch(batch)
+            docs = docstats_batch(batch, doc_ids)
             dpart = docstore_part_ids(docs["doc_id"].to_numpy(), self.cfg)
             i, p = pack_by_part(docs.append_column("dpart", pa.array(dpart)),
                                 dpart, self.skip)

@@ -449,6 +449,10 @@ def test_build_is_block_layout_invariant(ray_session, tmp_path, monkeypatch,
         str(tmp_path / "many"), cfg)
     assert one["num_docs"] == len(t) and one["complete"]
     assert one["hot_terms"]
+    # the probe's wall time is the one manifest value that is not a
+    # function of the rows
+    for m in (one, many):
+        assert m["build_stats"].pop("hot_probe_s") > 0
     assert one == many
     for sub in ("segments", "lengths", "docstore"):
         names = sorted(os.listdir(tmp_path / "one" / sub))
@@ -489,6 +493,106 @@ def test_build_driver_fetches_are_bounded(ray_session, tmp_path,
     assert sentinels == [len(t)]
     assert len(terms) == len(set(terms))
     assert len(written) == len(m["partitions"]) <= 8 + 2 + 2
+
+
+def _probe_source(ratio: float):
+    """A source whose hot terms under ``ratio`` all lie in the probe's
+    prefix of ceil(25 / ratio) docs, while terms that fill the rest of
+    the corpus would be hot over all of it: a probe that read past the
+    prefix (or another slice) chooses another set. The prefix holds an
+    empty doc and an all-stopword doc, and spans several read blocks."""
+    import math
+
+    import pyarrow as pa
+    import ray.data
+    prefix = math.ceil(25 / ratio)
+    n = 3 * prefix
+    rng = np.random.default_rng(7)
+    texts = []
+    for i in range(n):
+        if i == 3:
+            texts.append("")
+        elif i == 4:
+            texts.append("the and of is a")
+        elif i < prefix:
+            words = [f"w{rng.integers(0, 60)}" for _ in range(4)]
+            if i % 2 == 0:
+                words.append("prefixhot")
+            if i % 7 == 0:
+                words.append("warmPrefix")
+            texts.append(" ".join(words))
+        else:
+            texts.append(f"tailonly z{rng.integers(0, 500)} ¡Tail_mark!")
+    t = pa.table({"repo": [f"r{i % 3}" for i in range(n)],
+                  "path": [f"f{i}.py" for i in range(n)],
+                  "commit": ["c"] * n, "lang": ["py"] * n,
+                  "content": texts})
+    blocks = [t.slice(i, 37) for i in range(0, n, 37)]
+    return ray.data.from_arrow(blocks), texts[:prefix]
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.1])
+def test_hot_term_probe_matches_brute_force_prefix_df(ray_session, ratio):
+    """estimate_hot_terms equals a Python df over tokenize() of the first
+    ceil(25 / ratio) rows' content, salted by the documented rule."""
+    from searchengine_ray.build import estimate_hot_terms
+    from searchengine_ray.functions.tokenizer import filter_tokens, tokenize
+
+    cfg = IndexConfig(num_partitions=8, num_length_partitions=2,
+                      hot_term_df_ratio=ratio)
+    source, prefix = _probe_source(ratio)
+    df: dict[str, int] = {}
+    for text in prefix:
+        for term in set(filter_tokens(tokenize(text), cfg)):
+            df[term] = df.get(term, 0) + 1
+    want = {term: int(min(8, max(2, round(c / len(prefix) / ratio))))
+            for term, c in df.items() if c / len(prefix) > ratio}
+    assert "prefixhot" in want and "tailonly" not in want
+    assert estimate_hot_terms(source, cfg) == want
+
+
+def test_manifest_records_build_stats(ray_session, tmp_path):
+    """manifest.json's build_stats: the probe's sampled docs and seconds,
+    max/median segment rows and the number of salted terms. They are
+    informational: a resume onto a manifest whose build_stats differ
+    goes ahead, and a build with pinned hot terms runs no probe."""
+    import json
+    import shutil
+
+    cfg = IndexConfig(num_partitions=8, num_length_partitions=2,
+                      num_docstore_partitions=2, hot_term_df_ratio=0.1)
+    source, prefix = _probe_source(0.1)
+    idx = str(tmp_path / "idx")
+    m = build_index(source, idx, cfg)
+    stats = m["build_stats"]
+    seg = sorted(e["rows"] for e in m["partitions"].values()
+                 if e["kind"] == "segment")
+    assert stats["hot_probe_docs"] == len(prefix) == 250
+    assert 0 < stats["hot_probe_s"] < 60
+    assert stats["partition_skew"] == seg[-1] / float(np.median(seg)) >= 1
+    assert stats["salted_terms"] == len(m["hot_terms"]) > 0
+    assert load_manifest(idx)["build_stats"] == stats
+
+    path = os.path.join(idx, "manifest.json")
+    with open(path) as f:
+        on_disk = json.load(f)
+    tampered = {"hot_probe_docs": -1, "hot_probe_s": -1.0}
+    on_disk["build_stats"] = {**tampered, "partition_skew": -1.0,
+                              "salted_terms": -1}
+    with open(path, "w") as f:
+        json.dump(on_disk, f)
+    shutil.rmtree(os.path.join(idx, "docstore"))
+    resumed = build_index(source, idx, cfg)
+    assert resumed["complete"] and resumed["hot_terms"] == m["hot_terms"]
+    # the hot terms came from the prior manifest, so its probe figures
+    # stay; the other two are recomputed
+    assert resumed["build_stats"] == {**stats, **tampered}
+
+    pinned = build_index(source, str(tmp_path / "pinned"), cfg,
+                         hot_terms_override=m["hot_terms"])
+    assert pinned["build_stats"]["hot_probe_docs"] == 0
+    assert pinned["build_stats"]["hot_probe_s"] == 0.0
+    assert pinned["build_stats"]["salted_terms"] == len(m["hot_terms"])
 
 
 def test_resume_config_mismatch_raises(ray_session, tmp_path):

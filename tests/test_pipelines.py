@@ -3392,6 +3392,62 @@ def test_selfcheck_retries_ray_system_error_once(capsys):
     assert len(calls) == 1 and "retry" not in capsys.readouterr().out
 
 
+def test_selfcheck_resume_skips_ok_entries_and_appends_verdicts(
+        tmp_path, capsys):
+    """``tools/selfcheck.py --resume LOG`` on a stub entry table: entries
+    with an ``ok`` line in LOG do not run, a FAIL there runs again, and
+    every new verdict line is appended to LOG, so a second run of the same
+    command after an abort finishes the sweep."""
+    import duckdb
+    import pandas as pd
+    from tools.selfcheck import sweep
+
+    calls = []
+
+    def entry(name, rows):
+        def fn(sf):
+            calls.append(name)
+            return pd.DataFrame({"x": rows})
+        return fn
+
+    def boom(sf):
+        calls.append("boom")
+        raise ValueError("entry failed")
+
+    entries = {"done": entry("done", [1]), "failed_before": entry(
+        "failed_before", [1, 2]), "fresh": entry("fresh", [3]),
+        "wrong": entry("wrong", [9]), "boom": boom,
+        "rows_only": entry("rows_only", [5])}
+    oracles = {"done": "SELECT 1 AS x",
+               "failed_before": "SELECT * FROM (VALUES (1), (2)) t(x)",
+               "fresh": "SELECT 3 AS x", "wrong": "SELECT 4 AS x",
+               "boom": "SELECT 1 AS x"}
+    log = tmp_path / "sweep.log"
+    log.write_text("ok   done (0.10 s): 1 rows match oracle\n"
+                   "FAIL failed_before (0.10 s): ray raised X: y\n")
+    con = duckdb.connect()
+    assert sweep(entries, oracles, con, "sf", log=str(log)) == 2
+    assert calls == ["failed_before", "fresh", "wrong", "boom", "rows_only"]
+    lines = log.read_text().splitlines()
+    assert lines[:2] == ["ok   done (0.10 s): 1 rows match oracle",
+                         "FAIL failed_before (0.10 s): ray raised X: y"]
+    new = [line.split()[:2] for line in lines[2:]]
+    assert new == [["ok", "failed_before"], ["ok", "fresh"],
+                   ["FAIL", "wrong"], ["FAIL", "boom"], ["ok", "rows_only"]]
+    out = capsys.readouterr().out
+    assert "1 entries skipped: ok in" in out and "2 failures" in out
+
+    # the same command again runs only the entries still without an ok
+    calls.clear()
+    assert sweep(entries, oracles, con, "sf", log=str(log)) == 2
+    assert calls == ["wrong", "boom"]
+    assert len(log.read_text().splitlines()) == len(lines) + 2
+    # without --resume nothing is skipped and no log is written
+    calls.clear()
+    assert sweep(entries, oracles, con, "sf", only={"done"}) == 0
+    assert calls == ["done"]
+
+
 def test_promo_revenue_by_month_matches_pandas(ray_session):
     import pandas as pd
     import ray.data

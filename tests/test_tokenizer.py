@@ -198,6 +198,52 @@ def test_split_ignores_bytes_past_the_data_buffer(monkeypatch):
         assert di.tolist() == [0, 0, 0]
 
 
+def _two_pass_normalize(arr):
+    """normalize_column as it was before its last two passes merged:
+    ``[^\\w\\s-]`` → space, then ``[-_]`` → space."""
+    import pyarrow.compute as pc
+    out = arr
+    for pat in (r"([A-Z]+)([A-Z][a-z])", r"([a-z0-9])([A-Z])"):
+        out = pc.replace_substring_regex(out, pattern=pat,
+                                         replacement=r"\1 \2")
+    out = pc.utf8_lower(out)
+    for pat in (r"&\w+;", r"https?://\S+", r"[^\w\s-]", r"[-_]"):
+        out = pc.replace_substring_regex(out, pattern=pat, replacement=" ")
+    return out
+
+
+# control characters outside RE2's \s (\v, the \x1c-\x1f separators),
+# non-ASCII letters whose lowercase is ASCII (U+212A KELVIN SIGN → k) or
+# grows (U+0130), runs of _ and -, and entities inside URLs
+_ADVERSARIAL = st.sampled_from([
+    "\v", "\x1c", "\x1d", "\x1e", "\x1f", "\u212a", "\u0130", "\u212aB",
+    "_", "__", "-", "--", "_-_", "a_-b", "&amp;", "&lt;x", "&A_b;",
+    "http://a.b/x&amp;y", "https://x.y/p_q-r?a=&gt;", "HTTP://UP.CASE",
+    "ABCDef", "parseHTML", "x9Y", " ", "\t", "\n", "\r", "\f", "é", "ß",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(
+           st.one_of(st.none(), st.lists(
+               st.one_of(_ADVERSARIAL, st.text(max_size=4)),
+               max_size=12).map("".join)),
+           min_size=1, max_size=8),
+       large=st.booleans(), data=st.data())
+def test_normalize_one_pass_matches_two_pass_chain(texts, large, data):
+    """The merged ``[^a-z0-9\\s]`` pass replaces exactly the characters
+    the two old passes replaced, on string and large_string arrays and
+    on slices of them (a non-zero offset into the buffers)."""
+    from searchengine_ray.functions.arrow_tokenize import normalize_column
+    arr = pa.array(texts, type=pa.large_string() if large else pa.string())
+    start = data.draw(st.integers(0, len(texts) - 1))
+    stop = data.draw(st.integers(start, len(texts)))
+    for a in (arr, arr.slice(start, stop - start)):
+        got = normalize_column(a)
+        assert got.type == a.type
+        assert got.to_pylist() == _two_pass_normalize(a).to_pylist()
+
+
 def test_large_string_and_string_mix():
     t = pa.table({
         "a": pa.array(["titleToken here"], type=pa.string()),
@@ -215,3 +261,24 @@ def test_weighted_term_counts_accumulates_occurrences():
     out = weighted_term_counts([(t["a"], 3.0)], CFG)
     d = {r["term"]: r["wtf"] for r in out.to_pylist()}
     assert d == {"foo": 6.0, "bar": 3.0}
+
+
+def test_weighted_term_counts_one_dictionary_in_doc_order():
+    """The term column is dictionary-typed over the batch's distinct
+    terms (each once, every one used), and rows come in doc order; an
+    input without tokens gives the same schema."""
+    t = pa.table({"a": ["foo bar", "", "the", "bar qux foo"],
+                  "b": ["qux", "foo", None, "bar"]})
+    out = weighted_term_counts([(t["a"], 5.0), (t["b"], 1.0)], CFG)
+    assert pa.types.is_dictionary(out.schema.field("term").type)
+    term = out["term"].combine_chunks()
+    vocab = term.dictionary.to_pylist()
+    assert sorted(vocab) == ["bar", "foo", "qux"]
+    assert sorted(set(term.indices.to_pylist())) == [0, 1, 2]
+    assert out["doc_index"].to_pylist() == sorted(out["doc_index"].to_pylist())
+    got = {(r["doc_index"], r["term"]): r["wtf"] for r in out.to_pylist()}
+    assert got == {(0, "foo"): 5.0, (0, "bar"): 5.0, (0, "qux"): 1.0,
+                   (1, "foo"): 1.0,
+                   (3, "bar"): 6.0, (3, "qux"): 5.0, (3, "foo"): 5.0}
+    empty = weighted_term_counts([(t["a"].slice(1, 2), 5.0)], CFG)
+    assert len(empty) == 0 and empty.schema == out.schema

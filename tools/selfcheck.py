@@ -10,14 +10,15 @@ transient Ray-core failure such as a raylet CHECK) is run once more, and
 the retry is printed as ``retry <name>: <error>``; a second failure
 counts.
 
-Every verdict line is flushed as soon as it is printed, so when a Ray-core
-abort kills the process mid-run, the entries already judged stay in a
-piped log. To finish such a run, pass the names that have no verdict line
-yet after the sf_dir, e.g. ``python tools/selfcheck.py sf_dir bm25_en
-hybrid_en``; the names of all entries are the keys of
+Every verdict line is flushed as soon as it is printed. With ``--resume
+LOG`` each verdict line is also appended to LOG, and the entries that
+already have an ``ok`` line there are skipped, so a sweep killed by a
+Ray-core abort (a C++ CHECK ends the process; no Python handler runs)
+finishes by running the same command again. Names after the sf_dir run
+only those entries; the names of all entries are the keys of
 ``__ray_entry__.queries()``.
 
-Usage:  python tools/selfcheck.py [sf_dir] [name ...]
+Usage:  python tools/selfcheck.py [sf_dir] [name ...] [--resume LOG]
 """
 
 from __future__ import annotations
@@ -90,52 +91,87 @@ def run_entry(name: str, fn, sf_dir: str) -> pd.DataFrame:
         return to_pandas(fn(sf_dir))
 
 
-def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True)
-    import __ray_entry__ as e
-    qs, os_ = e.queries(), e.oracle_sql()
-    con = duckdb.connect()
-    for t in TABLES:
-        p = os.path.join(sf_dir, f"{t}.parquet")
-        if os.path.exists(p):
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
-    failures = 0
-    for name, fn in qs.items():
+def ok_in_log(path: str) -> set[str]:
+    """Names with an ``ok`` verdict line in the resume log (none if the log
+    does not exist yet)."""
+    if not os.path.exists(path):
+        return set()
+    with open(path) as f:
+        return {line.split()[1] for line in f if line.startswith("ok ")}
+
+
+def sweep(entries: dict, oracles: dict, con, sf_dir: str,
+          only: set[str] = frozenset(), log: str | None = None) -> int:
+    """Judge each entry against its oracle SQL on ``con``; returns the
+    number of failures. With ``log``, entries ok there are skipped and
+    every verdict line is appended to it."""
+    done = ok_in_log(log) if log else set()
+
+    def verdict(line: str) -> None:
+        print(line, flush=True)
+        if log:
+            with open(log, "a") as f:
+                f.write(line + "\n")
+
+    failures = skipped = 0
+    for name, fn in entries.items():
         if only and name not in only:
+            continue
+        if name in done:
+            skipped += 1
             continue
         t0 = time.perf_counter()
         try:
             ours = run_entry(name, fn, sf_dir)
         except Exception as ex:
-            print(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
-                  f"ray raised {type(ex).__name__}: {ex}", flush=True)
+            verdict(f"FAIL {name} ({time.perf_counter() - t0:.2f} s): "
+                    f"ray raised {type(ex).__name__}: {ex}")
             failures += 1
             continue
         secs = f"({time.perf_counter() - t0:.2f} s)"
-        if name not in os_:
-            print(f"ok   {name} {secs}: rows-only ({len(ours)} rows, "
-                  f"cols {sorted(ours.columns)})", flush=True)
+        if name not in oracles:
+            verdict(f"ok   {name} {secs}: rows-only ({len(ours)} rows, "
+                    f"cols {sorted(ours.columns)})")
             continue
         try:
-            oracle = con.execute(os_[name]).df()
+            oracle = con.execute(oracles[name]).df()
         except Exception as ex:
-            print(f"FAIL {name} {secs}: sql raised "
-                  f"{type(ex).__name__}: {ex}", flush=True)
+            verdict(f"FAIL {name} {secs}: sql raised "
+                    f"{type(ex).__name__}: {ex}")
             failures += 1
             continue
         problems = compare(name, ours, oracle)
         if problems:
             failures += 1
-            print(f"FAIL {name} {secs}: " + "; ".join(problems), flush=True)
+            verdict(f"FAIL {name} {secs}: " + "; ".join(problems))
         else:
-            print(f"ok   {name} {secs}: {len(ours)} rows match oracle",
-                  flush=True)
+            verdict(f"ok   {name} {secs}: {len(ours)} rows match oracle")
+    if skipped:
+        print(f"{skipped} entries skipped: ok in {log}", flush=True)
     print(f"{failures} failures", flush=True)
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.01")
+    p.add_argument("names", nargs="*")
+    p.add_argument("--resume", metavar="LOG")
+    args = p.parse_args(argv)
+    import ray
+    if not ray.is_initialized():
+        ray.init(address="local", num_cpus=8, include_dashboard=False,
+                 ignore_reinit_error=True)
+    import __ray_entry__ as e
+    con = duckdb.connect()
+    for t in TABLES:
+        path = os.path.join(args.sf_dir, f"{t}.parquet")
+        if os.path.exists(path):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                        f"read_parquet('{path}')")
+    failures = sweep(e.queries(), e.oracle_sql(), con, args.sf_dir,
+                     set(args.names), args.resume)
     return 1 if failures else 0
 
 
